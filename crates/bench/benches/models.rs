@@ -32,6 +32,15 @@ fn bench_models(c: &mut Criterion) {
     c.bench_function("optimize_goodput_dist16", |b| {
         b.iter(|| optimize_goodput(&p, &eff, AllocShape::dist(16), limits))
     });
+    // Memory-bound: no accumulation level reaches the maximum batch, so all
+    // 16 levels are in play.
+    let mem32 = ThroughputParams {
+        max_local_bsz: 32.0,
+        ..params()
+    };
+    c.bench_function("optimize_goodput_mem32", |b| {
+        b.iter(|| optimize_goodput(&mem32, &eff, AllocShape::single(), limits))
+    });
 
     let samples: Vec<FitSample> = [1usize, 2, 4, 8]
         .iter()

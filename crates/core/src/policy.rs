@@ -203,6 +203,11 @@ impl Scheduler for SiaPolicy {
         // rebuilt rows fan out across the worker pool.
         let refit_t0 = Instant::now();
         let refresh = {
+            // Despite its name this span times goodput-row enumeration
+            // (`optimize_goodput` per job and configuration); throughput
+            // fitting runs in the executor reports of `engine.execute`.
+            // The name stays because benchmarks attribute
+            // `core.refit_s` to it.
             let _refit = sia_telemetry::span("policy.refit");
             self.matrix_cache.refresh(jobs, cluster, &configs, workers)
         };

@@ -8,7 +8,7 @@
 //! unidentified parameters toward their seed values — e.g. before any
 //! multi-GPU observation exists, the sync-cost terms stay at their prior.
 
-use crate::throughput::{AllocShape, ThroughputParams};
+use crate::throughput::{AllocShape, ShapeModel, ThroughputParams};
 
 /// One measured iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +27,7 @@ pub struct FitSample {
 ///
 /// Minimises `f` starting from `x0` with an initial simplex of per-dimension
 /// radius `step`. Deterministic; runs a fixed iteration budget with early
-/// exit on simplex collapse.
+/// exit on simplex collapse. A vertex whose loss is NaN ranks worst.
 pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
     mut f: F,
     x0: &[f64],
@@ -47,64 +47,77 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
         simplex.push((x, v));
     }
 
+    // Scratch vectors reused across iterations; an accepted trial point is
+    // swapped into the simplex and the displaced vertex becomes scratch.
+    let mut centroid = vec![0.0; n];
+    let mut trial = vec![0.0; n];
+    let mut expand = vec![0.0; n];
     for _ in 0..max_iters {
-        simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        simplex.sort_by(by_loss);
         let spread = simplex[n].1 - simplex[0].1;
         if spread.abs() < 1e-12 * (1.0 + simplex[0].1.abs()) {
             break;
         }
         // Centroid of all but the worst.
-        let mut centroid = vec![0.0; n];
+        centroid.fill(0.0);
         for (x, _) in simplex.iter().take(n) {
             for (c, xi) in centroid.iter_mut().zip(x) {
                 *c += xi / n as f64;
             }
         }
-        let worst = simplex[n].clone();
-        let reflect: Vec<f64> = centroid
-            .iter()
-            .zip(&worst.0)
-            .map(|(c, w)| c + alpha * (c - w))
-            .collect();
-        let fr = f(&reflect);
+        let (worst, worst_v) = (&simplex[n].0, simplex[n].1);
+        for ((r, c), w) in trial.iter_mut().zip(&centroid).zip(worst) {
+            *r = c + alpha * (c - w);
+        }
+        let fr = f(&trial);
         if fr < simplex[0].1 {
             // Expansion.
-            let expand: Vec<f64> = centroid
-                .iter()
-                .zip(&reflect)
-                .map(|(c, r)| c + gamma * (r - c))
-                .collect();
+            for ((e, c), r) in expand.iter_mut().zip(&centroid).zip(&trial) {
+                *e = c + gamma * (r - c);
+            }
             let fe = f(&expand);
-            simplex[n] = if fe < fr { (expand, fe) } else { (reflect, fr) };
+            if fe < fr {
+                std::mem::swap(&mut simplex[n].0, &mut expand);
+                simplex[n].1 = fe;
+            } else {
+                std::mem::swap(&mut simplex[n].0, &mut trial);
+                simplex[n].1 = fr;
+            }
         } else if fr < simplex[n - 1].1 {
-            simplex[n] = (reflect, fr);
+            std::mem::swap(&mut simplex[n].0, &mut trial);
+            simplex[n].1 = fr;
         } else {
             // Contraction.
-            let contract: Vec<f64> = centroid
-                .iter()
-                .zip(&worst.0)
-                .map(|(c, w)| c + rho * (w - c))
-                .collect();
-            let fc = f(&contract);
-            if fc < worst.1 {
-                simplex[n] = (contract, fc);
+            for ((t, c), w) in trial.iter_mut().zip(&centroid).zip(worst) {
+                *t = c + rho * (w - c);
+            }
+            let fc = f(&trial);
+            if fc < worst_v {
+                std::mem::swap(&mut simplex[n].0, &mut trial);
+                simplex[n].1 = fc;
             } else {
                 // Shrink toward the best.
-                let best = simplex[0].0.clone();
-                for entry in simplex.iter_mut().skip(1) {
-                    let x: Vec<f64> = best
-                        .iter()
-                        .zip(&entry.0)
-                        .map(|(b, xi)| b + sigma * (xi - b))
-                        .collect();
-                    let v = f(&x);
-                    *entry = (x, v);
+                let (best, rest) = simplex.split_at_mut(1);
+                let best = &best[0].0;
+                for entry in rest {
+                    for (xi, b) in entry.0.iter_mut().zip(best) {
+                        *xi = b + sigma * (*xi - b);
+                    }
+                    entry.1 = f(&entry.0);
                 }
             }
         }
     }
-    simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    simplex[0].0.clone()
+    simplex.sort_by(by_loss);
+    simplex.swap_remove(0).0
+}
+
+/// Orders simplex vertices by loss with [`f64::total_cmp`], a total order,
+/// so `sort_by` cannot panic on NaN. Clearing a NaN's sign bit ranks every
+/// NaN after `+inf`; NaN-free losses order as `partial_cmp` would.
+fn by_loss(a: &(Vec<f64>, f64), b: &(Vec<f64>, f64)) -> std::cmp::Ordering {
+    let key = |v: f64| if v.is_nan() { v.abs() } else { v };
+    key(a.1).total_cmp(&key(b.1))
 }
 
 /// Number of fitted parameters (`max_local_bsz` is measured, not fitted).
@@ -152,13 +165,30 @@ pub fn fit_throughput(seed: &ThroughputParams, samples: &[FitSample]) -> Through
     let prior = z0;
     let max_local = seed.max_local_bsz;
     let prior_w = PRIOR_WEIGHT / (1.0 + samples.len() as f64);
-    let loss = |z: &[f64]| -> f64 {
+    // Per-fit constants: each sample's log iteration time, and its index
+    // into the distinct shapes, whose `ShapeModel`s are built once per loss
+    // evaluation rather than once per sample.
+    let ln_obs: Vec<f64> = samples.iter().map(|s| s.iter_time.max(1e-9).ln()).collect();
+    let mut shapes: Vec<AllocShape> = Vec::new();
+    let shape_idx: Vec<usize> = samples
+        .iter()
+        .map(|s| match shapes.iter().position(|&sh| sh == s.shape) {
+            Some(i) => i,
+            None => {
+                shapes.push(s.shape);
+                shapes.len() - 1
+            }
+        })
+        .collect();
+    let mut models: Vec<ShapeModel> = Vec::with_capacity(shapes.len());
+    let mut loss = |z: &[f64]| -> f64 {
         let p = decode(z, max_local);
+        models.clear();
+        models.extend(shapes.iter().map(|&sh| p.at_shape(sh)));
         let mut l = 0.0;
-        for s in samples {
-            let pred = p.t_iter(s.shape, s.local_bsz, s.accum_steps).max(1e-9);
-            let d = (pred.ln() - s.iter_time.max(1e-9).ln()).powi(2);
-            l += d;
+        for ((s, &i), ln_t) in samples.iter().zip(&shape_idx).zip(&ln_obs) {
+            let pred = models[i].t_iter(s.local_bsz, s.accum_steps).max(1e-9);
+            l += (pred.ln() - ln_t).powi(2);
         }
         l /= samples.len() as f64;
         for (zi, pi) in z.iter().zip(&prior) {
@@ -167,8 +197,8 @@ pub fn fit_throughput(seed: &ThroughputParams, samples: &[FitSample]) -> Through
         l
     };
     // Coarse solve, then a polish restart with a smaller simplex.
-    let z = nelder_mead(&loss, &z0, 0.8, 900);
-    let z = nelder_mead(&loss, &z, 0.1, 500);
+    let z = nelder_mead(&mut loss, &z0, 0.8, 900);
+    let z = nelder_mead(&mut loss, &z, 0.1, 500);
     decode(&z, max_local)
 }
 
@@ -239,6 +269,33 @@ mod tests {
         );
         assert!((x[0] - 1.0).abs() < 0.02, "x = {x:?}");
         assert!((x[1] - 1.0).abs() < 0.04, "x = {x:?}");
+    }
+
+    #[test]
+    fn nelder_mead_survives_nan_over_half_the_domain() {
+        // The loss is NaN wherever one of a scattered half of the
+        // coordinates exceeds 1, so about half the initial vertices are NaN,
+        // interleaved with finite ones. With 32 dimensions the simplex is
+        // long enough for `sort_by` to check its comparator, and a
+        // comparator that calls NaN equal to everything makes it panic.
+        // Both NaN signs appear, because x86 arithmetic yields a sign-set NaN.
+        let n = 32;
+        let loss = |z: &[f64]| {
+            for (i, v) in z.iter().enumerate() {
+                if (0.414_214 * i as f64).fract() < 0.5 && *v > 1.0 {
+                    return if i % 2 == 1 { f64::NAN } else { -f64::NAN };
+                }
+            }
+            z.iter()
+                .enumerate()
+                .map(|(i, v)| (v - (0.618_034 * i as f64).fract()).powi(2))
+                .sum::<f64>()
+        };
+        let x0 = vec![0.5; n];
+        let x = nelder_mead(loss, &x0, 1.0, 2000);
+        assert!(x.iter().all(|v| v.is_finite()), "x = {x:?}");
+        assert!(loss(&x).is_finite(), "x = {x:?}");
+        assert!(loss(&x) < loss(&x0), "x = {x:?}");
     }
 
     #[test]

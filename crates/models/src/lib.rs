@@ -32,4 +32,4 @@ pub use estimator::{default_sync_prior, JobEstimator, Observation, ProfilingMode
 pub use fit::{fit_throughput, nelder_mead, FitSample};
 pub use gns::{measure_phi, synthesize_stats, GradientStats};
 pub use goodput::{optimize_goodput, BatchLimits, GoodputPoint};
-pub use throughput::{AllocShape, ThroughputParams};
+pub use throughput::{AllocShape, ShapeModel, ThroughputParams};

@@ -73,11 +73,6 @@ pub struct ThroughputParams {
 }
 
 impl ThroughputParams {
-    /// Gradient-computation time for a per-replica batch of `m` samples.
-    pub fn t_grad(&self, m: f64) -> f64 {
-        self.alpha_c + self.beta_c * m
-    }
-
     /// Gradient-synchronisation time for the given allocation shape.
     pub fn t_sync(&self, shape: AllocShape) -> f64 {
         if shape.replicas <= 1 {
@@ -91,22 +86,31 @@ impl ThroughputParams {
         }
     }
 
+    /// The model specialised to one allocation shape: `γ`, `1/γ` and
+    /// `T_sync^γ` are computed once here instead of once per evaluation.
+    pub fn at_shape(&self, shape: AllocShape) -> ShapeModel {
+        let gamma = self.gamma.max(1.0);
+        ShapeModel {
+            replicas: shape.replicas as f64,
+            alpha_c: self.alpha_c,
+            beta_c: self.beta_c,
+            gamma,
+            inv_gamma: 1.0 / gamma,
+            sync_pow: self.t_sync(shape).powf(gamma),
+        }
+    }
+
     /// Time of one training iteration with `s` gradient-accumulation steps.
     ///
     /// With `s > 0`, the first `s` micro-steps compute gradients locally and
     /// only the final step synchronises.
     pub fn t_iter(&self, shape: AllocShape, m: f64, accum_steps: u32) -> f64 {
-        let tg = self.t_grad(m);
-        let ts = self.t_sync(shape);
-        let g = self.gamma.max(1.0);
-        let overlap = (tg.powf(g) + ts.powf(g)).powf(1.0 / g);
-        accum_steps as f64 * tg + overlap
+        self.at_shape(shape).t_iter(m, accum_steps)
     }
 
     /// Samples processed per second at `(shape, m, s)`.
     pub fn throughput(&self, shape: AllocShape, m: f64, accum_steps: u32) -> f64 {
-        let total_batch = shape.replicas as f64 * m * (accum_steps as f64 + 1.0);
-        total_batch / self.t_iter(shape, m, accum_steps)
+        self.at_shape(shape).throughput(m, accum_steps)
     }
 
     /// Returns params validated for basic sanity (all finite, non-negative
@@ -126,6 +130,48 @@ impl ThroughputParams {
             && self.beta_c > 0.0
             && self.gamma >= 1.0
             && self.max_local_bsz >= 1.0
+    }
+}
+
+/// [`ThroughputParams`] evaluated for one [`AllocShape`]; built by
+/// [`ThroughputParams::at_shape`].
+///
+/// This is the single implementation of the iteration-time formula: the
+/// shape-taking methods of [`ThroughputParams`], the goodput optimizer and
+/// the fitting loss all evaluate through it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShapeModel {
+    /// Number of data-parallel replicas `k`.
+    pub(crate) replicas: f64,
+    /// Fixed per-iteration compute overhead (seconds).
+    pub(crate) alpha_c: f64,
+    /// Per-sample compute time (seconds/sample).
+    pub(crate) beta_c: f64,
+    /// Overlap exponent `γ`, clamped to `>= 1`.
+    pub(crate) gamma: f64,
+    /// `1/γ`.
+    pub(crate) inv_gamma: f64,
+    /// `T_sync^γ` for this shape.
+    pub(crate) sync_pow: f64,
+}
+
+impl ShapeModel {
+    /// Gradient-computation time for a per-replica batch of `m` samples.
+    pub fn t_grad(&self, m: f64) -> f64 {
+        self.alpha_c + self.beta_c * m
+    }
+
+    /// Time of one training iteration with `s` gradient-accumulation steps.
+    pub fn t_iter(&self, m: f64, accum_steps: u32) -> f64 {
+        let tg = self.t_grad(m);
+        let overlap = (tg.powf(self.gamma) + self.sync_pow).powf(self.inv_gamma);
+        accum_steps as f64 * tg + overlap
+    }
+
+    /// Samples processed per second at `(m, s)`.
+    pub fn throughput(&self, m: f64, accum_steps: u32) -> f64 {
+        let total_batch = self.replicas * m * (accum_steps as f64 + 1.0);
+        total_batch / self.t_iter(m, accum_steps)
     }
 }
 
@@ -207,7 +253,7 @@ mod tests {
         let overlap = p.t_iter(shape, 128.0, 0);
         assert!(overlap < no_overlap);
         // Full overlap approaches max(tg, ts).
-        let tg = p.t_grad(128.0);
+        let tg = p.at_shape(shape).t_grad(128.0);
         let ts = p.t_sync(shape);
         assert!(overlap >= tg.max(ts) - 1e-9);
     }

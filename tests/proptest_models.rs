@@ -1,7 +1,10 @@
 //! Property-based tests for the performance models.
 
 use proptest::prelude::*;
-use sia::models::{optimize_goodput, AllocShape, BatchLimits, EfficiencyParams, ThroughputParams};
+use sia::models::{
+    fit_throughput, nelder_mead, optimize_goodput, AllocShape, BatchLimits, EfficiencyParams,
+    FitSample, GoodputPoint, ThroughputParams,
+};
 
 fn arb_params() -> impl Strategy<Value = ThroughputParams> {
     // Marginal sync costs (`beta_*`) are kept a modest fraction of the base
@@ -38,6 +41,310 @@ fn arb_params() -> impl Strategy<Value = ThroughputParams> {
 
 fn arb_eff() -> impl Strategy<Value = EfficiencyParams> {
     (1.0f64..10_000.0, 1.0f64..512.0).prop_map(|(phi, m0)| EfficiencyParams::new(phi, m0))
+}
+
+// ---------------------------------------------------------------------------
+// Reference copies of the unpruned optimizer, the per-call iteration-time
+// formula and the per-sample fitting loss. The production kernels must match
+// them bit for bit.
+// ---------------------------------------------------------------------------
+
+fn ref_t_iter(p: &ThroughputParams, shape: AllocShape, m: f64, accum_steps: u32) -> f64 {
+    let tg = p.alpha_c + p.beta_c * m;
+    let ts = p.t_sync(shape);
+    let g = p.gamma.max(1.0);
+    let overlap = (tg.powf(g) + ts.powf(g)).powf(1.0 / g);
+    accum_steps as f64 * tg + overlap
+}
+
+fn ref_throughput(p: &ThroughputParams, shape: AllocShape, m: f64, accum_steps: u32) -> f64 {
+    let total_batch = shape.replicas as f64 * m * (accum_steps as f64 + 1.0);
+    total_batch / ref_t_iter(p, shape, m, accum_steps)
+}
+
+/// The goodput optimizer scanning every accumulation level.
+fn ref_optimize_goodput(
+    thr: &ThroughputParams,
+    eff: &EfficiencyParams,
+    shape: AllocShape,
+    limits: BatchLimits,
+) -> Option<GoodputPoint> {
+    const MAX_ACCUM: u32 = 15;
+    const GRID: usize = 12;
+    const REFINE_ITERS: usize = 14;
+    let k = shape.replicas as f64;
+    let eval = |m: f64, s: u32| -> GoodputPoint {
+        let waves = s as f64 + 1.0;
+        let total = k * m * waves;
+        let throughput = ref_throughput(thr, shape, m, s);
+        let efficiency = eff.efficiency(total);
+        GoodputPoint {
+            goodput: throughput * efficiency,
+            throughput,
+            efficiency,
+            local_bsz: m,
+            accum_steps: s,
+            total_bsz: total,
+        }
+    };
+    let mut best: Option<GoodputPoint> = None;
+    let mut had_unbound_level = false;
+    for s in 0..=MAX_ACCUM {
+        let waves = s as f64 + 1.0;
+        let m_lo = (limits.min_total / (k * waves)).max(1.0);
+        let m_hi = (limits.max_total / (k * waves)).min(thr.max_local_bsz);
+        if m_lo > m_hi {
+            continue;
+        }
+        if had_unbound_level {
+            break;
+        }
+        if limits.max_total / (k * waves) <= thr.max_local_bsz {
+            had_unbound_level = true;
+        }
+        let ratio = m_hi / m_lo;
+        let mut best_here: Option<GoodputPoint> = None;
+        for g in 0..GRID {
+            let frac = g as f64 / (GRID - 1) as f64;
+            let p = eval(m_lo * ratio.powf(frac), s);
+            if best_here.map(|b| p.goodput > b.goodput).unwrap_or(true) {
+                best_here = Some(p);
+            }
+        }
+        if let Some(bh) = best_here {
+            let step = ratio.powf(1.0 / (GRID - 1) as f64);
+            let mut a = (bh.local_bsz / step).max(m_lo);
+            let mut b = (bh.local_bsz * step).min(m_hi);
+            let phi = 0.618_033_988_749_894_9;
+            for _ in 0..REFINE_ITERS {
+                let x1 = b - phi * (b - a);
+                let x2 = a + phi * (b - a);
+                if eval(x1, s).goodput < eval(x2, s).goodput {
+                    a = x1;
+                } else {
+                    b = x2;
+                }
+            }
+            let refined = eval(0.5 * (a + b), s);
+            let candidate = if refined.goodput > bh.goodput {
+                refined
+            } else {
+                bh
+            };
+            if best.map(|b| candidate.goodput > b.goodput).unwrap_or(true) {
+                best = Some(candidate);
+            }
+        }
+    }
+    best
+}
+
+/// The throughput fit with the per-sample loss: every sample's shape terms
+/// and observed log time recomputed on every loss evaluation.
+fn ref_fit_throughput(seed: &ThroughputParams, samples: &[FitSample]) -> ThroughputParams {
+    let encode = |p: &ThroughputParams| {
+        [
+            p.alpha_c.max(1e-6).ln(),
+            p.beta_c.max(1e-9).ln(),
+            p.alpha_n.max(1e-6).ln(),
+            p.beta_n.max(1e-9).ln(),
+            p.alpha_d.max(1e-6).ln(),
+            p.beta_d.max(1e-9).ln(),
+            (p.gamma - 1.0).max(1e-6).ln(),
+        ]
+    };
+    let decode = |z: &[f64]| ThroughputParams {
+        alpha_c: z[0].exp(),
+        beta_c: z[1].exp(),
+        alpha_n: z[2].exp(),
+        beta_n: z[3].exp(),
+        alpha_d: z[4].exp(),
+        beta_d: z[5].exp(),
+        gamma: 1.0 + z[6].exp().min(15.0),
+        max_local_bsz: seed.max_local_bsz,
+    };
+    if samples.is_empty() {
+        return *seed;
+    }
+    let z0 = encode(seed);
+    let prior = z0;
+    let prior_w = 0.05 / (1.0 + samples.len() as f64);
+    let loss = |z: &[f64]| -> f64 {
+        let p = decode(z);
+        let mut l = 0.0;
+        for s in samples {
+            let pred = ref_t_iter(&p, s.shape, s.local_bsz, s.accum_steps).max(1e-9);
+            let d = (pred.ln() - s.iter_time.max(1e-9).ln()).powi(2);
+            l += d;
+        }
+        l /= samples.len() as f64;
+        for (zi, pi) in z.iter().zip(&prior) {
+            l += prior_w * (zi - pi).powi(2);
+        }
+        l
+    };
+    let z = nelder_mead(loss, &z0, 0.8, 900);
+    let z = nelder_mead(loss, &z, 0.1, 500);
+    decode(&z)
+}
+
+fn point_bits(p: &Option<GoodputPoint>) -> Option<(u64, u64, u64, u64, u64, u32)> {
+    p.map(|p| {
+        (
+            p.goodput.to_bits(),
+            p.throughput.to_bits(),
+            p.efficiency.to_bits(),
+            p.local_bsz.to_bits(),
+            p.total_bsz.to_bits(),
+            p.accum_steps,
+        )
+    })
+}
+
+fn params_bits(p: &ThroughputParams) -> [u64; 8] {
+    [
+        p.alpha_c,
+        p.beta_c,
+        p.alpha_n,
+        p.beta_n,
+        p.alpha_d,
+        p.beta_d,
+        p.gamma,
+        p.max_local_bsz,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Throughput parameters over a wide range with the edge values drawn often:
+/// `gamma = 1`, `alpha_n = 0`, and `max_local_bsz` of 1, 16 or 32.
+fn arb_wide_params() -> impl Strategy<Value = ThroughputParams> {
+    (
+        (1e-4f64..1.0, 1e-5f64..0.1),
+        (0u8..4, 0.0f64..0.5, 0.0f64..0.1),
+        (0.0f64..2.0, 0.0f64..0.2),
+        (0u8..4, 1.0f64..16.0),
+        (0u8..6, 1.0f64..2048.0),
+    )
+        .prop_map(
+            |(
+                (alpha_c, beta_c),
+                (an_pick, an, beta_n),
+                (alpha_d, beta_d),
+                (g_pick, g),
+                (mem_pick, mem),
+            )| {
+                ThroughputParams {
+                    alpha_c,
+                    beta_c,
+                    alpha_n: if an_pick == 0 { 0.0 } else { an },
+                    beta_n,
+                    alpha_d,
+                    beta_d,
+                    gamma: if g_pick == 0 { 1.0 } else { g },
+                    max_local_bsz: match mem_pick {
+                        0 => 1.0,
+                        1 => 16.0,
+                        2 => 32.0,
+                        _ => mem.floor(),
+                    },
+                }
+            },
+        )
+}
+
+/// Efficiency parameters with `phi = 0` drawn often.
+fn arb_wide_eff() -> impl Strategy<Value = EfficiencyParams> {
+    (0u8..4, 0.0f64..1e5, 1.0f64..1024.0)
+        .prop_map(|(pick, phi, m0)| EfficiencyParams::new(if pick == 0 { 0.0 } else { phi }, m0))
+}
+
+/// Local or distributed shapes with up to 64 replicas.
+fn arb_shape() -> impl Strategy<Value = AllocShape> {
+    (1usize..=64, 0u8..2).prop_map(|(k, dist)| {
+        if k == 1 {
+            AllocShape::single()
+        } else if dist == 0 {
+            AllocShape::local(k)
+        } else {
+            AllocShape::dist(k)
+        }
+    })
+}
+
+/// Batch limits around `m0`, fixed (`BatchLimits::fixed`) a quarter of the
+/// time.
+fn arb_limits(m0: f64) -> impl Strategy<Value = BatchLimits> {
+    (0u8..4, 0.1f64..4.0, 1.0f64..128.0).prop_map(move |(pick, lo, span)| {
+        let lo = m0 * lo;
+        if pick == 0 {
+            BatchLimits::fixed(lo)
+        } else {
+            BatchLimits::new(lo, lo * span)
+        }
+    })
+}
+
+fn arb_sample() -> impl Strategy<Value = FitSample> {
+    (arb_shape(), 1.0f64..512.0, 0u32..4, 1e-3f64..20.0).prop_map(
+        |(shape, local_bsz, accum_steps, iter_time)| FitSample {
+            shape,
+            local_bsz,
+            accum_steps,
+            iter_time,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// The level-bound pruning never changes the optimizer's answer.
+    #[test]
+    fn optimizer_matches_unpruned_reference(
+        p in arb_wide_params(),
+        (e, limits) in arb_wide_eff().prop_flat_map(|e| (Just(e), arb_limits(e.m0))),
+        shape in arb_shape(),
+    ) {
+        let got = optimize_goodput(&p, &e, shape, limits);
+        let want = ref_optimize_goodput(&p, &e, shape, limits);
+        prop_assert_eq!(point_bits(&got), point_bits(&want),
+            "{:?} {:?} {:?} {:?}: {:?} vs {:?}", p, e, shape, limits, got, want);
+    }
+
+    /// The shape kernel evaluates the iteration-time formula exactly as the
+    /// per-call form does.
+    #[test]
+    fn shape_model_matches_per_call_formula(
+        p in arb_wide_params(),
+        shape in arb_shape(),
+        m in 1.0f64..4096.0,
+        s in 0u32..16,
+    ) {
+        let sm = p.at_shape(shape);
+        prop_assert_eq!(sm.t_iter(m, s).to_bits(), ref_t_iter(&p, shape, m, s).to_bits());
+        prop_assert_eq!(p.t_iter(shape, m, s).to_bits(), ref_t_iter(&p, shape, m, s).to_bits());
+        prop_assert_eq!(
+            p.throughput(shape, m, s).to_bits(),
+            ref_throughput(&p, shape, m, s).to_bits()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Hoisting the shape terms and the observed log times out of the loss
+    /// leaves the fitted parameters unchanged.
+    #[test]
+    fn fit_matches_per_sample_loss(
+        seed in arb_wide_params(),
+        samples in proptest::collection::vec(arb_sample(), 1..20),
+    ) {
+        prop_assert_eq!(
+            params_bits(&fit_throughput(&seed, &samples)),
+            params_bits(&ref_fit_throughput(&seed, &samples))
+        );
+    }
 }
 
 proptest! {
