@@ -28,7 +28,7 @@ use sia_bench::write_json;
 use sia_cluster::ClusterSpec;
 use sia_core::SiaPolicy;
 use sia_serve::{spawn_tcp, ServeOptions, Server};
-use sia_sim::{EngineKind, SimConfig};
+use sia_sim::SimConfig;
 use sia_workloads::{Trace, TraceConfig, TraceKind};
 
 use serde_json::{json, ToJson, Value};
@@ -97,7 +97,6 @@ fn fresh_server() -> Server {
     Server::new(
         ClusterSpec::heterogeneous_64(),
         SimConfig {
-            engine: EngineKind::Round,
             seed: 11,
             ..SimConfig::default()
         },

@@ -3,9 +3,8 @@
 //!
 //! Two sweeps:
 //!
-//! * **Comparison** (64 → 2048 GPUs): Sia vs Pollux vs Gavel+TJ, both
-//!   simulation engines per cell so the JSON records a wall-clock
-//!   before/after. Expected shape: Gavel fastest (tiny LP); Sia around a
+//! * **Comparison** (64 → 2048 GPUs): Sia vs Pollux vs Gavel+TJ, one
+//!   simulation per cell. Expected shape: Gavel fastest (tiny LP); Sia around a
 //!   second at 2048 GPUs; Pollux's genetic algorithm orders of magnitude
 //!   slower at scale.
 //! * **Scale** (4096 → 65536 GPUs): Sia with the sharded MILP
@@ -25,7 +24,7 @@
 use sia_bench::{run_one, write_json, Policy};
 use sia_cluster::ClusterSpec;
 use sia_metrics::{percentile, summarize_phases};
-use sia_sim::{EngineKind, SimConfig, SimResult};
+use sia_sim::{SimConfig, SimResult};
 use sia_workloads::{Trace, TraceConfig, TraceKind};
 
 /// Per-round anytime budget for the sharded scale sweep, seconds.
@@ -73,9 +72,6 @@ fn main() {
     let mut payload = serde_json::Map::new();
     let mut series: std::collections::BTreeMap<String, Vec<(usize, f64, f64, f64)>> =
         Default::default();
-    // Whole-simulation wall-clock per engine, per cell: (gpus, round, events).
-    let mut wall_series: std::collections::BTreeMap<String, Vec<(usize, f64, f64)>> =
-        Default::default();
     // Per-phase breakdown (refit/goodput/build/solve/placement) for policies
     // that report SolverStats — shows where Sia's runtime goes as the
     // cluster grows.
@@ -104,28 +100,12 @@ fn main() {
                 }
                 tcfg.window_hours = 1.0;
                 let trace = Trace::generate(&tcfg);
-                let mut result = None;
-                let mut walls = [0.0_f64; 2];
-                for (slot, engine) in [EngineKind::Round, EngineKind::Events]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let cfg = SimConfig {
-                        engine,
-                        seed: 7,
-                        max_hours: 0.35,
-                        ..SimConfig::default()
-                    };
-                    let t = std::time::Instant::now();
-                    let r = run_one(p, &cluster, &trace, cfg, 7);
-                    walls[slot] = t.elapsed().as_secs_f64();
-                    result = Some(r);
-                }
-                let result = result.expect("both engines ran");
-                wall_series
-                    .entry(p.label())
-                    .or_default()
-                    .push((64 * f, walls[0], walls[1]));
+                let cfg = SimConfig {
+                    seed: 7,
+                    max_hours: 0.35,
+                    ..SimConfig::default()
+                };
+                let result = run_one(p, &cluster, &trace, cfg, 7);
                 let (median, p25, p75) = median_runtimes(&result);
                 print!("{median:>14.4}");
                 series
@@ -161,21 +141,6 @@ fn main() {
                             "mean_seed_objective": ph.mean_seed_objective,
                         }));
                 }
-            }
-            println!();
-        }
-
-        println!("\n== simulation wall-clock (s), round engine -> event engine ==");
-        print!("{:<10}", "#GPUs");
-        for p in policies {
-            print!("{:>24}", p.label());
-        }
-        println!();
-        for (row, &f) in factors.iter().enumerate() {
-            print!("{:<10}", 64 * f);
-            for p in policies {
-                let (_, a, b) = wall_series[&p.label()][row];
-                print!("{:>24}", format!("{a:.2} -> {b:.2}"));
             }
             println!();
         }
@@ -215,7 +180,6 @@ fn main() {
             _ => 0.15,
         };
         let cfg = SimConfig {
-            engine: EngineKind::Events,
             seed: 7,
             max_hours,
             ..SimConfig::default()
@@ -287,17 +251,6 @@ fn main() {
                 .iter()
                 .map(|&(g, med, p25, p75)| serde_json::json!({
                     "gpus": g, "median_s": med, "p25_s": p25, "p75_s": p75
-                }))
-                .collect::<Vec<_>>()),
-        );
-    }
-    for (label, pts) in wall_series {
-        payload.insert(
-            format!("{label}_wall"),
-            serde_json::json!(pts
-                .iter()
-                .map(|&(g, a, b)| serde_json::json!({
-                    "gpus": g, "wall_round_s": a, "wall_events_s": b
                 }))
                 .collect::<Vec<_>>()),
         );

@@ -1,20 +1,16 @@
 //! Quick cross-scheduler comparison for development sanity-checking.
 //!
 //! Not a paper experiment; runs a shortened heterogeneous Philly-like trace
-//! through Sia, Pollux, and Gavel+TJ with one seed — once per simulation
-//! engine (legacy round loop vs event-driven). With failure injection off
-//! the engines are bit-identical, so the two tables must agree; the JSON
-//! payload records per-engine wall-clock so CI can track the perf
-//! trajectory.
+//! through Sia, Pollux, and Gavel+TJ with one seed, and records per-policy
+//! wall-clock so CI can track the perf trajectory.
 //!
-//! A second scenario has a weeks-long idle gap mid-trace: the round engine
-//! grinds through every empty round while the event engine fast-forwards to
-//! the next arrival, which is where the event kernel's win shows even when
-//! the scheduler dominates busy rounds.
+//! A second scenario has a weeks-long idle gap mid-trace: the simulation
+//! loop fast-forwards to the next arrival instead of grinding through the
+//! empty rounds, so its wall time stays close to the busy part's.
 
 use sia_bench::{aggregates_json, print_table, run_one, scale_work, sweep, Policy};
 use sia_cluster::ClusterSpec;
-use sia_sim::{EngineKind, SimConfig};
+use sia_sim::SimConfig;
 use sia_workloads::{Trace, TraceConfig, TraceKind};
 
 fn main() {
@@ -22,43 +18,30 @@ fn main() {
     let seeds = [1u64];
     let policies = [Policy::Sia, Policy::Pollux, Policy::GavelTuned];
 
+    let cfg = SimConfig::default();
+    let t0 = std::time::Instant::now();
+    let mut walls = serde_json::Map::new();
+    let aggs: Vec<_> = policies
+        .into_iter()
+        .map(|p| {
+            let t = std::time::Instant::now();
+            let a = sweep(p, &cluster, TraceKind::Philly, &seeds, &cfg, 16, 1.0, None);
+            let wall = t.elapsed();
+            eprintln!("{}: {:?}", a.label, wall);
+            walls.insert(a.label.clone(), serde_json::json!(wall.as_secs_f64()));
+            a
+        })
+        .collect();
+    let total = t0.elapsed();
+    print_table("quick compare (Philly-like, hetero 64)", &aggs);
+    eprintln!("total: {total:?}");
     let mut payload = serde_json::Map::new();
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let cfg = SimConfig {
-            engine,
-            ..SimConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        let mut walls = serde_json::Map::new();
-        let aggs: Vec<_> = policies
-            .into_iter()
-            .map(|p| {
-                let t = std::time::Instant::now();
-                let a = sweep(p, &cluster, TraceKind::Philly, &seeds, &cfg, 16, 1.0, None);
-                let wall = t.elapsed();
-                eprintln!("[{}] {}: {:?}", engine.label(), a.label, wall);
-                walls.insert(a.label.clone(), serde_json::json!(wall.as_secs_f64()));
-                a
-            })
-            .collect();
-        let total = t0.elapsed();
-        print_table(
-            &format!(
-                "quick compare ({} engine, Philly-like, hetero 64)",
-                engine.label()
-            ),
-            &aggs,
-        );
-        eprintln!("[{}] total: {total:?}", engine.label());
-        payload.insert(
-            engine.label().to_string(),
-            serde_json::json!({
-                "total_wall_s": total.as_secs_f64(),
-                "wall_s": serde_json::Value::Object(walls),
-                "summaries": aggregates_json(&aggs),
-            }),
-        );
-    }
+    payload.insert(
+        "total_wall_s".into(),
+        serde_json::json!(total.as_secs_f64()),
+    );
+    payload.insert("wall_s".into(), serde_json::Value::Object(walls));
+    payload.insert("summaries".into(), aggregates_json(&aggs));
 
     // Sparse arrivals: one late straggler after a long idle gap.
     let mut trace = Trace::generate(&TraceConfig::new(TraceKind::Philly, 1).with_max_gpus_cap(16));
@@ -68,33 +51,27 @@ fn main() {
         last.submit_time += 300.0 * 3600.0; // 300 h of idle cluster
     }
     println!("\n== sparse arrivals (300 h idle gap, Sia) ==");
-    let mut sparse = serde_json::Map::new();
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let cfg = SimConfig {
-            engine,
-            seed: 1,
-            ..SimConfig::default()
-        };
-        let t = std::time::Instant::now();
-        let result = run_one(Policy::Sia, &cluster, &trace, cfg, 1);
-        let wall = t.elapsed();
-        let summary = sia_metrics::summarize(&result);
-        println!(
-            "{:>8}: {:>8} logged rounds, avg JCT {:.3} h, wall {wall:?}",
-            engine.label(),
-            result.rounds.len(),
-            summary.avg_jct_hours,
-        );
-        sparse.insert(
-            engine.label().to_string(),
-            serde_json::json!({
-                "wall_s": wall.as_secs_f64(),
-                "rounds": result.rounds.len(),
-                "avg_jct_hours": summary.avg_jct_hours,
-            }),
-        );
-    }
-    payload.insert("sparse_arrivals".into(), serde_json::Value::Object(sparse));
+    let cfg = SimConfig {
+        seed: 1,
+        ..SimConfig::default()
+    };
+    let t = std::time::Instant::now();
+    let result = run_one(Policy::Sia, &cluster, &trace, cfg, 1);
+    let wall = t.elapsed();
+    let summary = sia_metrics::summarize(&result);
+    println!(
+        "{:>8} logged rounds, avg JCT {:.3} h, wall {wall:?}",
+        result.rounds.len(),
+        summary.avg_jct_hours,
+    );
+    payload.insert(
+        "sparse_arrivals".into(),
+        serde_json::json!({
+            "wall_s": wall.as_secs_f64(),
+            "rounds": result.rounds.len(),
+            "avg_jct_hours": summary.avg_jct_hours,
+        }),
+    );
 
     sia_bench::write_json("quick_compare", &serde_json::Value::Object(payload));
 }

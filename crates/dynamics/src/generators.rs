@@ -3,7 +3,7 @@
 //! Both generators produce an ordinary [`DynamicsScript`] — all randomness
 //! is spent at *generation* time from named `sia-events` RNG streams, so
 //! the resulting timeline is a plain deterministic script: same seed, same
-//! script, byte-identical simulations on both engines.
+//! script, byte-identical simulations.
 
 use rand::Rng;
 use sia_cluster::ClusterSpec;

@@ -20,10 +20,9 @@
 //! from named `sia-events` RNG streams — the output is always a plain
 //! deterministic script.
 //!
-//! Both simulator engines drive the same [`DynamicsRuntime::poll`], so
-//! capacity changes (and every eviction, restart and re-placement they
-//! trigger) are identical whether time advances round-by-round or
-//! event-by-event.
+//! The simulator drives [`DynamicsRuntime::poll`] from exact-time kernel
+//! events, so capacity changes (and every eviction, restart and
+//! re-placement they trigger) are identical across same-seed runs.
 
 #![forbid(unsafe_code)]
 

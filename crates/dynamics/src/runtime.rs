@@ -2,11 +2,10 @@
 //!
 //! A [`DynamicsRuntime`] compiles a [`DynamicsScript`](crate::DynamicsScript)
 //! against a cluster and applies its events to a
-//! [`ClusterView`] as simulation time advances. Both simulator engines
-//! drive the same [`DynamicsRuntime::poll`] entry point — the round engine
-//! at round boundaries, the event engine from exact-time kernel events — so
-//! the sequence of [`CapacityChange`]s (and therefore every downstream
-//! effect) is identical across engines.
+//! [`ClusterView`] as simulation time advances. The simulator drives
+//! [`DynamicsRuntime::poll`] from exact-time kernel events, so the sequence
+//! of [`CapacityChange`]s (and therefore every downstream effect) is a pure
+//! function of the script and the cluster.
 //!
 //! Concrete node ids are chosen *at apply time* with a deterministic rule
 //! (highest-id eligible node of the type first), so a script never names
@@ -51,8 +50,8 @@ impl CapacityChangeKind {
 /// One applied capacity change: which nodes, when, and what happened.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapacityChange {
-    /// Scripted time of the event (seconds). The engines may *enforce* the
-    /// change later (at a round boundary), but record it at this time.
+    /// Scripted time of the event (seconds). The simulator may *enforce*
+    /// the change later (at a round boundary), but records it at this time.
     pub time: f64,
     /// What happened.
     pub kind: CapacityChangeKind,
@@ -219,7 +218,7 @@ impl DynamicsRuntime {
     }
 
     /// The times at which ops fire, in order (drain finishes included).
-    /// The event engine schedules one kernel event per entry.
+    /// The simulator schedules one kernel event per distinct time.
     pub fn op_times(&self) -> Vec<f64> {
         self.ops.iter().map(|op| op.time).collect()
     }

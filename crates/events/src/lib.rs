@@ -1,11 +1,10 @@
 //! Deterministic discrete-event simulation kernel.
 //!
 //! `sia-events` is the core layer under the cluster simulator: a simulation
-//! clock plus a pending-event queue plus named random-number streams, with
-//! kernel-level telemetry. It knows nothing about jobs, GPUs or schedulers —
-//! `sia-sim` builds its event-driven engine on top of it, and any future
-//! subsystem (network models, failure injectors, autoscalers) can share the
-//! same kernel.
+//! clock plus a pending-event queue, with kernel-level telemetry. It knows
+//! nothing about jobs, GPUs or schedulers — `sia-sim` builds its simulation
+//! loop on top of it, and any future subsystem (network models, failure
+//! injectors, autoscalers) can share the same kernel.
 //!
 //! Three guarantees shape the design:
 //!
@@ -15,11 +14,9 @@
 //!   order. `f64` timestamps are compared with `total_cmp`, so ordering is
 //!   identical on every platform — no `PartialOrd` edge cases, no
 //!   map-iteration dependence.
-//! * **Stream-independent randomness.** [`Kernel::rng`] hands out named
-//!   ChaCha8 streams, each seeded from `(master seed, stream name)`. Adding
-//!   an event source that draws from stream `"failure"` never perturbs the
-//!   draws of stream `"engine"` — unlike a single shared RNG, where any new
-//!   consumer shifts every subsequent draw.
+//! * **Serializable state.** [`Kernel::export`] captures the clock, the
+//!   next sequence number and every live pending event; [`Kernel::import`]
+//!   rebuilds a kernel that fires the same events in the same order.
 //! * **Cheap cancellation.** [`Kernel::cancel`] is O(log n)-amortized lazy
 //!   deletion: cancelled entries are skipped at pop time. Timers are
 //!   rescheduled by cancelling and scheduling anew.
@@ -36,7 +33,7 @@ mod queue;
 mod rng;
 mod sample;
 
-pub use kernel::{Event, EventId, EventPayload, Kernel};
+pub use kernel::{Event, EventId, EventPayload, Kernel, KernelState, QueuedEvent};
 pub use queue::EventQueue;
 pub use rng::{derive_stream_seed, StreamRngs};
-pub use sample::{exp_sample, poisson_sample};
+pub use sample::exp_sample;

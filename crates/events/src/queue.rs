@@ -122,6 +122,20 @@ impl<E> EventQueue<E> {
         None
     }
 
+    /// Every live entry as `(time, priority, seq, payload)`, in pop order.
+    pub fn live(&self) -> Vec<(f64, u8, u64, &E)> {
+        let mut out: Vec<&Entry<E>> = self
+            .heap
+            .iter()
+            .filter(|e| !self.cancelled.contains(&e.seq))
+            .collect();
+        // `Entry::cmp` is reversed for the max-heap; reverse back.
+        out.sort_unstable_by(|a, b| b.cmp(a));
+        out.into_iter()
+            .map(|e| (e.time, e.priority, e.seq, &e.payload))
+            .collect()
+    }
+
     /// Number of live (non-cancelled) entries.
     pub fn len(&self) -> usize {
         self.pending.len()

@@ -55,17 +55,6 @@ impl StreamRngs {
         }
         self.streams.get_mut(name).expect("stream just inserted")
     }
-
-    /// Replaces (or creates) stream `name` with an explicitly seeded RNG.
-    ///
-    /// Used when a stream must be draw-compatible with a pre-existing
-    /// consumer — e.g. the simulator's event engine seeds its `"engine"`
-    /// stream exactly like the legacy round engine's single RNG so the two
-    /// engines produce bit-identical noise sequences.
-    pub fn seed_stream(&mut self, name: &str, seed: u64) {
-        self.streams
-            .insert(name.to_string(), ChaCha8Rng::seed_from_u64(seed));
-    }
 }
 
 #[cfg(test)]
@@ -111,13 +100,5 @@ mod tests {
             got.push(mixed.stream("a").random::<u64>());
         }
         assert_eq!(baseline, got);
-    }
-
-    #[test]
-    fn explicit_seeding_overrides_derivation() {
-        let mut r = StreamRngs::new(123);
-        r.seed_stream("engine", 5);
-        let mut reference = ChaCha8Rng::seed_from_u64(5);
-        assert_eq!(draws(r.stream("engine"), 8), draws(&mut reference, 8));
     }
 }

@@ -1,10 +1,6 @@
-//! Distribution sampling helpers shared by event sources.
-//!
-//! Failure injection needs two views of the same Poisson process: the
-//! event-driven engine samples exact inter-arrival gaps ([`exp_sample`]),
-//! while the round-based engine needs the number of arrivals inside a fixed
-//! window ([`poisson_sample`] — which, unlike a Bernoulli draw on
-//! `min(lambda, 1)`, does not saturate at one event per window).
+//! Distribution sampling helpers shared by event sources: failure
+//! injection and churn generators draw exact inter-arrival gaps of a
+//! Poisson process with [`exp_sample`].
 
 use rand::Rng;
 
@@ -16,36 +12,6 @@ pub fn exp_sample<R: Rng>(rng: &mut R, lambda: f64) -> f64 {
     }
     let u: f64 = rng.random(); // uniform in [0, 1)
     -(1.0 - u).ln() / lambda
-}
-
-/// A Poisson count with mean `lambda`.
-///
-/// Knuth's product-of-uniforms method for small means; for large means
-/// (where Knuth needs ~`lambda` draws and `exp(-lambda)` underflows) a
-/// normal approximation `N(lambda, lambda)` rounded to the nearest
-/// non-negative integer, which is accurate to well under one part in a
-/// thousand at the switch point.
-pub fn poisson_sample<R: Rng>(rng: &mut R, lambda: f64) -> u64 {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    if lambda < 30.0 {
-        let limit = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0_f64;
-        loop {
-            p *= rng.random::<f64>();
-            if p <= limit {
-                return k;
-            }
-            k += 1;
-        }
-    }
-    // Box-Muller standard normal from two uniforms.
-    let u1: f64 = rng.random::<f64>().max(1e-300);
-    let u2: f64 = rng.random();
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    (lambda + lambda.sqrt() * z).round().max(0.0) as u64
 }
 
 #[cfg(test)]
@@ -67,32 +33,5 @@ mod tests {
         );
         assert_eq!(exp_sample(&mut rng, 0.0), f64::INFINITY);
         assert_eq!(exp_sample(&mut rng, -1.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn poisson_mean_and_variance_small_lambda() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let lambda = 3.5;
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n)
-            .map(|_| poisson_sample(&mut rng, lambda) as f64)
-            .collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - lambda).abs() < 0.1, "mean {mean}");
-        assert!((var - lambda).abs() < 0.3, "variance {var}");
-    }
-
-    #[test]
-    fn poisson_large_lambda_does_not_saturate() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let lambda = 200.0;
-        let n = 2_000;
-        let mean = (0..n)
-            .map(|_| poisson_sample(&mut rng, lambda) as f64)
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - lambda).abs() < 2.0, "mean {mean}");
-        assert_eq!(poisson_sample(&mut rng, 0.0), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The Sia scheduling daemon.
 //!
-//! `sia-serve` wraps the steppable round engine ([`sia_sim::SimDriver`])
-//! in a long-running service: a JSONL command stream (stdin or a Unix
+//! `sia-serve` wraps the simulation loop ([`sia_sim::SimDriver`]) in a
+//! long-running service: a JSONL command stream (stdin or a Unix
 //! socket) carries `submit` / `cancel` / `query` / `snapshot` / `shutdown`
 //! requests, each tagged with a client-supplied request id, and the daemon
 //! answers with JSONL responses and lifecycle events (`admitted`,
@@ -9,14 +9,17 @@
 //! originating request ids.
 //!
 //! Submissions pass through a pluggable admission pipeline before they
-//! reach the engine: schema validation, then per-tenant GPU-hour quota and
+//! reach the driver: schema validation, then per-tenant GPU-hour quota and
 //! max-pending admission control ([`QuotaLedger`]), then the scheduling
-//! policy and placement of the ordinary engine round. Every decision —
+//! policy and placement of the ordinary round. Each request's `at`
+//! timestamp drives virtual time: every event due strictly before it
+//! fires first, which is exactly the batch [`sia_sim::Simulator::run`]
+//! when the stream replays a trace. Every decision —
 //! accept, reject, cancellation refund — lands in the audit stream as a
 //! typed `admission` record.
 //!
-//! The whole daemon state (engine, estimators, RNG, warm starts, pending
-//! queue, quota ledger) snapshots to a versioned, length-prefixed,
+//! The whole daemon state (event queue, estimators, both RNG streams,
+//! warm starts, pending queue, quota ledger) snapshots to a versioned, length-prefixed,
 //! checksummed file ([`snapshot`]); a killed daemon restores from it and
 //! continues **bit-identically** — the canonical flight trace of a
 //! snapshot/kill/restore run is byte-equal to an uninterrupted one.

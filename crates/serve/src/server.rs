@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use serde_json::{json, Value};
 use sia_cluster::{ClusterSpec, JobId};
-use sia_sim::{CancelOutcome, RoundOutcome, Scheduler, SimConfig, SimDriver, SimResult};
+use sia_sim::{CancelOutcome, Scheduler, SimConfig, SimDriver, SimResult, StepEvent};
 
 use crate::observe::{self, Observe};
 use crate::protocol::{parse_request, Command};
@@ -215,6 +215,12 @@ impl Server {
         self.driver.now()
     }
 
+    /// Virtual instant of the next scheduled simulation event (round,
+    /// completion, arrival...), if any.
+    pub fn next_event_time(&mut self) -> Option<f64> {
+        self.driver.next_event_time()
+    }
+
     /// The shared observability handle (metrics rendering, health
     /// verdicts) a stats listener thread serves from.
     pub fn observe(&self) -> Arc<Observe> {
@@ -335,8 +341,9 @@ impl Server {
 
     /// The full daemon state as a snapshot payload (driver state plus the
     /// service layer: ledger balances, per-job origin bookkeeping,
-    /// request counters).
-    pub fn snapshot_payload(&self) -> Value {
+    /// request counters). Fails when the driver cannot be snapshotted
+    /// (see [`SimDriver::snapshot`]).
+    pub fn snapshot_payload(&self) -> Result<Value, String> {
         let jobs: serde_json::Map = self
             .meta
             .iter()
@@ -351,8 +358,8 @@ impl Server {
                 )
             })
             .collect();
-        json!({
-            "driver": self.driver.snapshot(self.sched.as_ref()),
+        Ok(json!({
+            "driver": self.driver.snapshot(self.sched.as_ref())?,
             "serve": {
                 "ledger": self.ledger.to_json(),
                 "jobs": Value::Object(jobs),
@@ -363,12 +370,12 @@ impl Server {
                     "cancelled": self.stats.cancelled,
                 },
             },
-        })
+        }))
     }
 
     /// Advances virtual time to `t`, returning the lifecycle events of
-    /// every round executed (wallclock pacing calls this between
-    /// commands).
+    /// every round and completion in between (wallclock pacing calls this
+    /// between commands).
     pub fn advance_to(&mut self, t: f64) -> Vec<Value> {
         let outs = self.driver.step_until(t, self.sched.as_mut());
         if !outs.is_empty() {
@@ -404,7 +411,7 @@ impl Server {
         let cmd_label = req.cmd.label();
 
         // Observability commands are strictly read-only: they execute no
-        // scheduling rounds (so a scrape can never perturb engine parity)
+        // scheduling rounds (so a scrape can never perturb batch parity)
         // and answer immediately.
         match req.cmd {
             Command::Metrics => {
@@ -562,7 +569,10 @@ impl Server {
                 "submitted": self.stats.submitted, "admitted": self.stats.admitted,
                 "rejected": self.stats.rejected, "cancelled": self.stats.cancelled,
             })),
-            Command::Snapshot { path } => match write_snapshot(&path, &self.snapshot_payload()) {
+            Command::Snapshot { path } => match self
+                .snapshot_payload()
+                .and_then(|p| write_snapshot(&path, &p).map_err(|e| e.to_string()))
+            {
                 Ok(()) => {
                     observe::record_snapshot();
                     out.push(json!({
@@ -603,27 +613,29 @@ impl Server {
             .unwrap_or(Value::Null)
     }
 
-    /// Translates round outcomes into `allocated` / `preempted` /
+    /// Translates driver steps into `allocated` / `preempted` /
     /// `completed` events tagged with the originating request ids.
-    fn events_for(&self, outs: &[RoundOutcome]) -> Vec<Value> {
+    fn events_for(&self, steps: &[StepEvent]) -> Vec<Value> {
         let mut ev = Vec::new();
-        for o in outs {
-            for id in &o.changed {
-                match o.allocations.iter().find(|(j, _, _)| j == id) {
-                    Some(&(_, t, gpus)) => ev.push(json!({
-                        "event": "allocated", "id": self.origin(id.0), "job": id.0,
-                        "t": o.time, "gpu_type": t.0, "gpus": gpus,
-                    })),
-                    None => ev.push(json!({
-                        "event": "preempted", "id": self.origin(id.0), "job": id.0,
-                        "t": o.time,
-                    })),
+        for step in steps {
+            match step {
+                StepEvent::Round(o) => {
+                    for id in &o.changed {
+                        match o.allocations.iter().find(|(j, _, _)| j == id) {
+                            Some(&(_, t, gpus)) => ev.push(json!({
+                                "event": "allocated", "id": self.origin(id.0), "job": id.0,
+                                "t": o.time, "gpu_type": t.0, "gpus": gpus,
+                            })),
+                            None => ev.push(json!({
+                                "event": "preempted", "id": self.origin(id.0), "job": id.0,
+                                "t": o.time,
+                            })),
+                        }
+                    }
                 }
-            }
-            for &(id, t) in &o.completed {
-                ev.push(json!({
-                    "event": "completed", "id": self.origin(id.0), "job": id.0, "t": t,
-                }));
+                &StepEvent::Completed { job, time } => ev.push(json!({
+                    "event": "completed", "id": self.origin(job.0), "job": job.0, "t": time,
+                })),
             }
         }
         ev
@@ -698,9 +710,12 @@ where
         if let Some(hb) = server.maybe_heartbeat_wall() {
             write_values(out, &[hb])?;
         }
-        // Sleep until the next round boundary is due (capped to stay
+        // Sleep until the next simulation event is due (capped to stay
         // responsive to the command stream).
-        let wait_s = ((server.now() - target) / speed).clamp(0.01, 0.5);
+        let wait_s = server
+            .next_event_time()
+            .map_or(0.5, |t| (t - target) / speed)
+            .clamp(0.01, 0.5);
         match rx.recv_timeout(Duration::from_secs_f64(wait_s)) {
             Ok(line) => {
                 if line.trim().is_empty() {
@@ -830,6 +845,40 @@ mod tests {
         let result = server.into_result();
         assert_eq!(result.records.len(), specs.len());
         assert!(result.records.iter().all(|r| r.finish_time.is_some()));
+    }
+
+    #[test]
+    fn jobs_submitted_past_the_horizon_still_run() {
+        // The daemon has no horizon while it serves: 400 virtual hours
+        // (`SimConfig::max_hours`) in, a submit is still scheduled, whether
+        // its submit time is current or already past.
+        let mut server = new_server(&ServeOptions::default());
+        let mut specs = jobs(2);
+        let late = 401.0 * 3600.0;
+        specs[0].submit_time = late;
+        specs[1].submit_time = 5.0 * 3600.0;
+        let mut all = Vec::new();
+        for (i, spec) in specs.iter().enumerate() {
+            let mut line: Value =
+                serde_json::from_str(&submit_line(&format!("r{i}"), spec, "acme", 1.0)).unwrap();
+            *line.as_object_mut().unwrap().get_mut("at").unwrap() = Value::Float(late + i as f64);
+            let values = server.handle(&serde_json::to_string(&line).unwrap());
+            let resp = response_of(&values, &format!("r{i}"));
+            assert_eq!(resp.get("ok"), Some(&Value::Bool(true)));
+            all.extend(values);
+        }
+        all.extend(server.handle(&format!(
+            r#"{{"id":"q","cmd":"query","at":{}}}"#,
+            late + 24.0 * 3600.0
+        )));
+        let completed = all
+            .iter()
+            .filter(|v| v.get("event").and_then(Value::as_str) == Some("completed"))
+            .count();
+        assert_eq!(completed, 2, "jobs past the horizon never ran");
+        let values = server.handle(r#"{"id":"end","cmd":"shutdown"}"#);
+        let fin = response_of(&values, "end");
+        assert_eq!(fin.get("unfinished").and_then(Value::as_u64), Some(0));
     }
 
     #[test]

@@ -1,56 +1,28 @@
-//! The round-based discrete-time simulation engine.
+//! Simulation configuration, per-job state and the batch entry point
+//! [`Simulator::run`], which drives the one simulation loop
+//! ([`SimDriver`]) over a whole trace.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Instant;
 
 use rand::Rng;
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sia_cluster::{ClusterSpec, ClusterView, FreeGpus, GpuTypeId, JobId, Placement};
-use sia_dynamics::{CapacityChange, CapacityChangeKind, DynamicsRuntime, DynamicsScript};
+use sia_cluster::{ClusterSpec, ClusterView, GpuTypeId, Placement};
+use sia_dynamics::DynamicsScript;
 use sia_models::{
     default_sync_prior, optimize_goodput, AllocShape, BatchLimits, FitSample, JobEstimator,
     Observation, ProfilingMode,
 };
-use sia_telemetry::{
-    AllocReason, AuditEvent, AuditRecorder, AuditStream, FlightRecorder, FlightTrace, TraceEvent,
-};
+use sia_telemetry::{AuditEvent, AuditRecorder, FlightRecorder, TraceEvent};
 use sia_workloads::zoo::TrueModel;
 use sia_workloads::{Adaptivity, JobSpec, Trace};
 
-use crate::result::{DecisionInfo, JobRecord, RoundLog, SimResult, SolverStats};
-use crate::scheduler::{AllocationMap, JobView, Scheduler};
-
-/// Which simulation engine executes the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The legacy fixed-round loop: every job scanned every round; failures
-    /// quantized to round boundaries.
-    Round,
-    /// The discrete-event engine on the `sia-events` kernel: arrivals,
-    /// completions, failures and restart completions are exact-time events;
-    /// the scheduling round is a recurring timer; idle spans are skipped.
-    /// Bit-compatible with `Round` when failure injection is off.
-    #[default]
-    Events,
-}
-
-impl EngineKind {
-    /// Stable lowercase label (CLI values, reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Round => "round",
-            EngineKind::Events => "events",
-        }
-    }
-}
+use crate::driver::SimDriver;
+use crate::result::SimResult;
+use crate::scheduler::{JobView, Scheduler};
 
 /// Simulation-wide configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Engine that executes the run (default: event-driven).
-    pub engine: EngineKind,
     /// How much initial model information each job's estimator gets (§5.7).
     pub profiling_mode: ProfilingMode,
     /// RNG seed for all noise sources.
@@ -63,7 +35,9 @@ pub struct SimConfig {
     pub execution_noise: f64,
     /// Relative jitter on checkpoint-restore delays.
     pub restart_jitter: f64,
-    /// Simulation horizon, hours.
+    /// Simulation horizon, hours. [`Simulator::run`] runs no round at or
+    /// past it; a [`SimDriver`] stepped by a service keeps serving past it
+    /// and only enforces it when drained ([`SimDriver::run_to_idle`]).
     pub max_hours: f64,
     /// GPU-seconds charged per GPU type for bootstrap profiling (§3.2: the
     /// average per-job cost is < 20 GPU-seconds per type).
@@ -99,7 +73,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            engine: EngineKind::default(),
             profiling_mode: ProfilingMode::Bootstrap,
             seed: 0,
             measurement_noise: 0.02,
@@ -128,9 +101,82 @@ impl SimConfig {
             ..SimConfig::default()
         }
     }
+
+    /// Opens a run's flight recorder (ring bound and spill per config) and
+    /// stamps the stream header.
+    pub(crate) fn flight_recorder(&self, spec: &ClusterSpec, round: f64) -> FlightRecorder {
+        let mut rec = match &self.trace_spill {
+            Some(path) => {
+                FlightRecorder::with_spill(self.trace_capacity, path).unwrap_or_else(|e| {
+                    eprintln!(
+                        "warning: cannot open trace spill {}: {e}; recording in memory only",
+                        path.display()
+                    );
+                    FlightRecorder::new(self.trace_capacity)
+                })
+            }
+            None => FlightRecorder::new(self.trace_capacity),
+        };
+        rec.record(
+            0.0,
+            TraceEvent::Meta {
+                gpu_types: spec
+                    .gpu_types()
+                    .map(|t| spec.kind(t).name.clone())
+                    .collect(),
+                round_duration: round,
+            },
+        );
+        rec
+    }
+
+    /// Opens a run's audit recorder (ring bound and spill per config) and
+    /// stamps the stream's meta record.
+    pub(crate) fn audit_recorder(
+        &self,
+        scheduler: &str,
+        round: f64,
+        gap_tolerance: Option<f64>,
+    ) -> AuditRecorder {
+        let mut audit = match &self.audit_spill {
+            Some(path) => {
+                AuditRecorder::with_spill(self.audit_capacity, path).unwrap_or_else(|e| {
+                    eprintln!(
+                        "warning: cannot open audit spill {}: {e}; recording in memory only",
+                        path.display()
+                    );
+                    AuditRecorder::new(self.audit_capacity)
+                })
+            }
+            None => AuditRecorder::new(self.audit_capacity),
+        };
+        audit.record(
+            0.0,
+            AuditEvent::Meta {
+                scheduler: scheduler.to_string(),
+                round_duration: round,
+                gap_tolerance: gap_tolerance.unwrap_or(0.0),
+            },
+        );
+        audit
+    }
 }
 
-/// Internal per-job state (shared by both engines).
+/// The round slice a placed job is executing, kept so that a cancel in
+/// the middle of it can give back what the job did not get to use.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Slice {
+    /// Instant the job stops holding its GPUs for this slice (its
+    /// completion instant, or the slice's end).
+    pub(crate) end: f64,
+    /// Instant useful work starts (after the restore paid in the slice).
+    pub(crate) work_from: f64,
+    /// Work per second from `work_from` to `end` (0 once a failure rolled
+    /// the slice's work back).
+    pub(crate) rate: f64,
+}
+
+/// Internal per-job state.
 pub(crate) struct JobState {
     pub(crate) spec: JobSpec,
     pub(crate) truth: TrueModel,
@@ -148,9 +194,90 @@ pub(crate) struct JobState {
     pub(crate) gpu_seconds: f64,
     pub(crate) contention_sum: f64,
     pub(crate) contention_rounds: u64,
+    /// The slice charged by the last round that placed the job.
+    pub(crate) slice: Slice,
 }
 
 impl JobState {
+    /// Builds a job's initial state (estimator per profiling mode, charging
+    /// any profiling overhead). Emits the job's `submitted`/`admitted`
+    /// records stamped with the submission instant, although jobs are
+    /// admitted at the round boundary that follows it.
+    pub(crate) fn admit(
+        spec: JobSpec,
+        cfg: &SimConfig,
+        cluster: &ClusterSpec,
+        rng: &mut ChaCha8Rng,
+        rec: &mut FlightRecorder,
+    ) -> JobState {
+        let t_submit = spec.submit_time.max(0.0);
+        rec.record(
+            t_submit,
+            TraceEvent::JobSubmitted {
+                job: spec.id.0,
+                name: spec.name.clone(),
+                model: spec.model.name().to_string(),
+            },
+        );
+        rec.record(t_submit, TraceEvent::JobAdmitted { job: spec.id.0 });
+        let truth = spec.model.profile().true_model(cluster);
+        let limits = batch_limits_of(&spec);
+        let eff_prior = truth.eff0;
+        let mut gpu_seconds = 0.0;
+        let estimator = match cfg.profiling_mode {
+            ProfilingMode::Oracle => {
+                JobEstimator::oracle(truth.per_type.clone(), eff_prior, limits)
+            }
+            ProfilingMode::Bootstrap => {
+                // One noisy single-GPU profile per GPU type (§3.2).
+                let prior = default_sync_prior();
+                let profiles = truth
+                    .per_type
+                    .iter()
+                    .map(|tp| {
+                        let eps =
+                            |rng: &mut ChaCha8Rng| 1.0 + cfg.measurement_noise * symmetric(rng);
+                        sia_models::ThroughputParams {
+                            alpha_c: tp.alpha_c * eps(rng).max(0.2),
+                            beta_c: tp.beta_c * eps(rng).max(0.2),
+                            alpha_n: prior.alpha_n,
+                            beta_n: prior.beta_n,
+                            alpha_d: prior.alpha_d,
+                            beta_d: prior.beta_d,
+                            gamma: prior.gamma,
+                            max_local_bsz: tp.max_local_bsz,
+                        }
+                    })
+                    .collect();
+                gpu_seconds += cfg.profiling_gpu_seconds * cluster.num_gpu_types() as f64;
+                JobEstimator::bootstrap(profiles, eff_prior, limits)
+            }
+            ProfilingMode::NoProf => JobEstimator::no_prof(
+                default_sync_prior(),
+                cluster.num_gpu_types(),
+                eff_prior,
+                limits,
+            ),
+        };
+        JobState {
+            spec,
+            truth,
+            estimator,
+            placement: Placement::empty(),
+            restart_remaining: 0.0,
+            work_done: 0.0,
+            checkpointed_work: 0.0,
+            restarts: 0,
+            failures: 0,
+            first_start: None,
+            finish_time: None,
+            gpu_seconds,
+            contention_sum: 0.0,
+            contention_rounds: 0,
+            slice: Slice::default(),
+        }
+    }
+
     pub(crate) fn finished(&self) -> bool {
         self.finish_time.is_some()
     }
@@ -188,13 +315,89 @@ impl JobState {
             progress: self.progress(),
         }
     }
+
+    /// GPUs per replica of this job on `gpu_type` (1 unless it is
+    /// pipeline-parallel there).
+    fn replica_width(&self, cluster: &ClusterSpec, gpu_type: GpuTypeId) -> usize {
+        self.spec
+            .model
+            .profile()
+            .pipeline
+            .and_then(|p| p.gpus_per_replica(&cluster.kind(gpu_type).name))
+            .unwrap_or(1)
+    }
+
+    /// The true goodput of the job on its current placement (the executor's
+    /// batch choice uses the true model — executors measure their own
+    /// performance directly). Straggler multipliers from the capacity view
+    /// scale the result; a clean view (all nodes at 1.0) leaves the value
+    /// bit-identical to the pre-dynamics computation.
+    pub(crate) fn true_goodput(
+        &self,
+        view: &ClusterView,
+    ) -> Option<(f64, sia_models::GoodputPoint, GpuTypeId)> {
+        let gpu_type = self.placement.gpu_type(view.spec());
+        let gpus = self.placement.total_gpus();
+        let width = self.replica_width(view.spec(), gpu_type);
+        if !gpus.is_multiple_of(width) || gpus < width {
+            return None;
+        }
+        let replicas = gpus / width;
+        let shape = shape_of(&self.placement, replicas);
+        let limits = execution_limits(&self.spec, replicas);
+        let eff = self.truth.eff_at(self.progress());
+        let point = optimize_goodput(&self.truth.per_type[gpu_type.0], &eff, shape, limits)?;
+        let mut goodput = point.goodput;
+        let mult = view.placement_degradation(&self.placement);
+        if mult != 1.0 {
+            goodput *= mult;
+        }
+        Some((goodput, point, gpu_type))
+    }
+
+    /// One noisy executor report (throughput sample + measured gradient
+    /// noise scale) fed into the job's estimator, once per scheduled round
+    /// per running job (iteration-time noise drawn first, then the
+    /// phi-measurement noise).
+    pub(crate) fn executor_report(
+        &mut self,
+        cluster: &ClusterSpec,
+        measurement_noise: f64,
+        gpu_type: GpuTypeId,
+        point: &sia_models::GoodputPoint,
+        rng: &mut ChaCha8Rng,
+    ) {
+        let noise = 1.0 + measurement_noise * symmetric(rng);
+        let replicas = self.placement.total_gpus() / self.replica_width(cluster, gpu_type);
+        let shape = shape_of(&self.placement, replicas);
+        let true_iter =
+            self.truth.per_type[gpu_type.0].t_iter(shape, point.local_bsz, point.accum_steps);
+        let obs = Observation {
+            gpu_type,
+            sample: FitSample {
+                shape,
+                local_bsz: point.local_bsz,
+                accum_steps: point.accum_steps,
+                iter_time: (true_iter * noise).max(1e-6),
+            },
+            // The executor measures the noise scale via the two-batch
+            // gradient-statistics trick rather than observing it directly.
+            measured_phi: sia_models::measure_phi(
+                self.truth.phi_at(self.progress()),
+                point.local_bsz,
+                (point.total_bsz).max(point.local_bsz * 2.0),
+                measurement_noise.min(1.0) * symmetric(rng) * 10.0,
+            ),
+        };
+        self.estimator.observe(obs);
+    }
 }
 
-/// The discrete-time simulator: one cluster, one trace, one scheduler run.
+/// A batch simulation: one cluster, one trace, one scheduler run.
 pub struct Simulator {
-    pub(crate) spec: ClusterSpec,
-    pub(crate) trace: Vec<JobSpec>,
-    pub(crate) cfg: SimConfig,
+    spec: ClusterSpec,
+    trace: Vec<JobSpec>,
+    cfg: SimConfig,
 }
 
 impl Simulator {
@@ -207,782 +410,20 @@ impl Simulator {
         }
     }
 
-    /// Runs `sched` to completion (all jobs finished or horizon reached)
-    /// under the engine selected by [`SimConfig::engine`].
+    /// Runs `sched` to completion (all jobs finished or horizon reached):
+    /// a [`SimDriver`] with the horizon ([`SimConfig::max_hours`]) in force
+    /// from the start and every trace job submitted up front, stepped until
+    /// its event queue drains.
     pub fn run(&self, sched: &mut dyn Scheduler) -> SimResult {
-        match self.cfg.engine {
-            EngineKind::Round => self.run_round(sched),
-            EngineKind::Events => self.run_events(sched),
-        }
-    }
-
-    /// Runs on the event-driven engine regardless of [`SimConfig::engine`].
-    pub fn run_events(&self, sched: &mut dyn Scheduler) -> SimResult {
-        crate::event_engine::run(self, sched)
-    }
-
-    /// Runs on the legacy fixed-round engine regardless of
-    /// [`SimConfig::engine`].
-    pub fn run_round(&self, sched: &mut dyn Scheduler) -> SimResult {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.cfg.seed);
-        let round = sched.round_duration();
-        assert!(round > 0.0, "round duration must be positive");
         let horizon = self.cfg.max_hours * 3600.0;
-        // Capacity events past the last evaluated boundary can never be
-        // observed (same cutoff as the event engine's arrival horizon).
-        let dyn_cutoff = round * (horizon / round).ceil();
-
-        let mut jobs: Vec<JobState> = Vec::new();
-        let mut next_submit = 0usize;
-        let mut rounds: Vec<RoundLog> = Vec::new();
-        let mut now = 0.0_f64;
-        let mut makespan = 0.0_f64;
-        let mut rec = self.make_recorder(round);
-        let mut audit = self.make_audit_recorder(sched.name(), round, sched.gap_tolerance());
-        let mut audit_round: u64 = 0;
-        let mut view = ClusterView::new(self.spec.clone());
-        let mut dynamics = self.cfg.dynamics.as_ref().map(|s| {
-            DynamicsRuntime::new(s, &view).expect("dynamics script rejected by cluster spec")
-        });
-
-        // Telemetry handles hoisted out of the round loop: registry lookups
-        // happen once per run, the loop itself only touches atomics.
-        let ctr_rounds = sia_telemetry::counter("engine.rounds");
-        let ctr_restarts = sia_telemetry::counter("engine.restarts");
-        let ctr_failures = sia_telemetry::counter("engine.failures");
-        let ctr_churn = sia_telemetry::counter("engine.alloc_churn");
-        let gauge_active = sia_telemetry::gauge("engine.active_jobs");
-        let gauge_queue = sia_telemetry::gauge("engine.queue_depth");
-
-        loop {
-            // Admit newly submitted jobs.
-            while next_submit < self.trace.len() && self.trace[next_submit].submit_time <= now {
-                let spec = self.trace[next_submit].clone();
-                let state = self.admit(&spec, &mut rng, &mut rec);
-                jobs.push(state);
-                next_submit += 1;
-            }
-
-            // Apply capacity events due by this boundary. Records land at
-            // their scripted event time; evictions are enforced here, at the
-            // boundary — exactly when the event engine's next round timer
-            // would enforce them.
-            let mut dynamics_pending = false;
-            if let Some(rt) = dynamics.as_mut() {
-                let changes = rt.poll(now, &mut view);
-                record_capacity(&changes, &mut rec);
-                if now < horizon {
-                    ctr_restarts.add(evict_for_capacity(
-                        &changes,
-                        &mut jobs,
-                        now,
-                        &mut rec,
-                        &mut audit,
-                        audit_round,
-                    ));
-                }
-                dynamics_pending = rt.next_time().is_some_and(|t| t <= dyn_cutoff);
-            }
-
-            let active: Vec<usize> = (0..jobs.len()).filter(|&i| !jobs[i].finished()).collect();
-            if active.is_empty() && next_submit >= self.trace.len() && !dynamics_pending {
-                break;
-            }
-            if now >= horizon {
-                break;
-            }
-
-            // Ask the policy for placements. The timer deliberately also
-            // covers the validate/apply (placement translation) loop below,
-            // so `policy_runtime` reflects the full per-round scheduling
-            // cost, not just the policy's own `schedule` call.
-            let round_t0 = Instant::now();
-            let (alloc_map, solver_stats, decisions) = if active.is_empty() {
-                (BTreeMap::new(), None, Vec::new())
-            } else {
-                let views: Vec<JobView<'_>> = active.iter().map(|&i| jobs[i].view(now)).collect();
-                let map = {
-                    let _span = sia_telemetry::span("engine.schedule");
-                    sched.schedule(now, &views, &view)
-                };
-                (map, sched.round_stats(), sched.round_decisions())
-            };
-            let provenance: BTreeMap<JobId, DecisionInfo> =
-                decisions.into_iter().map(|d| (d.job, d)).collect();
-            record_audit_round(&mut audit, audit_round, now, active.len(), &solver_stats);
-
-            // Validate and apply placements (the shared apply loop).
-            let contention = active.len();
-            let applied = apply_allocations(
-                self,
-                &mut jobs,
-                &active,
-                &alloc_map,
-                now,
-                is_fallback(&solver_stats),
-                &view,
-                &mut rng,
-                &mut rec,
-                &mut audit,
-                audit_round,
-                &provenance,
-            );
-            if solver_stats.is_some() {
-                audit_round += 1;
-            }
-            let policy_runtime = round_t0.elapsed().as_secs_f64();
-            if !active.is_empty() {
-                rec.record(
-                    now,
-                    TraceEvent::RoundScheduled {
-                        contention,
-                        policy_runtime,
-                    },
-                );
-            }
-
-            ctr_rounds.incr();
-            ctr_restarts.add(applied.restarts);
-            ctr_churn.add(applied.churn);
-            gauge_active.set(active.len() as f64);
-            gauge_queue.set((contention - applied.allocations.len()) as f64);
-
-            rounds.push(RoundLog {
-                time: now,
-                active_jobs: active.len(),
-                contention,
-                allocations: applied.allocations,
-                policy_runtime,
-                solver_stats,
-            });
-
-            // Advance one round of execution.
-            let execute_span = sia_telemetry::span("engine.execute");
-            let mut round_failures = 0u64;
-            for &i in &active {
-                let job = &mut jobs[i];
-                if job.placement.is_empty() {
-                    continue;
-                }
-                let gpus = job.placement.total_gpus();
-                // Worker failures (§3.5): roll back to the last epoch
-                // checkpoint and pay a restore delay. The per-round count is
-                // Poisson — a Bernoulli draw on `min(lambda, 1)` would
-                // silently saturate at one failure per round for large jobs
-                // or long rounds.
-                if self.cfg.failure_rate_per_gpu_hour > 0.0 {
-                    let expected =
-                        self.cfg.failure_rate_per_gpu_hour * gpus as f64 * round / 3600.0;
-                    let k = sia_events::poisson_sample(&mut rng, expected);
-                    if k > 0 {
-                        job.failures += u32::try_from(k).unwrap_or(u32::MAX);
-                        round_failures += k;
-                        job.work_done = job.checkpointed_work;
-                        job.restart_remaining = (job.restart_remaining
-                            + k as f64 * job.truth.restart_delay)
-                            .min(4.0 * round);
-                        rec.record(
-                            now,
-                            TraceEvent::JobFailed {
-                                job: job.spec.id.0,
-                                count: k,
-                            },
-                        );
-                    }
-                }
-                let paid_restart = job.restart_remaining.min(round);
-                job.restart_remaining -= paid_restart;
-                let usable = round - paid_restart;
-                let mut consumed = round; // GPU time held this round
-
-                if usable > 0.0 {
-                    if let Some((goodput, point, gpu_type)) = self.true_goodput(job, &view) {
-                        let jittered =
-                            goodput * (1.0 + self.cfg.execution_noise * symmetric(&mut rng));
-                        let jittered = jittered.max(0.0);
-                        let needed = job.spec.work_target - job.work_done;
-                        if jittered > 0.0 && needed <= jittered * usable {
-                            let dt = needed / jittered;
-                            let finish = now + paid_restart + dt;
-                            job.finish_time = Some(finish);
-                            job.work_done = job.spec.work_target;
-                            consumed = paid_restart + dt;
-                            makespan = makespan.max(finish);
-                            // Stamped with the exact completion instant,
-                            // matching the event engine's Completion event.
-                            rec.record(finish, TraceEvent::JobCompleted { job: job.spec.id.0 });
-                            rec.record(
-                                finish,
-                                TraceEvent::AllocationChanged {
-                                    job: job.spec.id.0,
-                                    gpu_type: None,
-                                    gpus: 0,
-                                    reason: AllocReason::Completed,
-                                    restart: false,
-                                },
-                            );
-                        } else {
-                            job.work_done += jittered * usable;
-                            job.advance_checkpoint();
-                        }
-                        // Executor report (throttled to one per round).
-                        self.executor_report(job, gpus, gpu_type, &point, &mut rng);
-                    }
-                }
-                if paid_restart > 0.0 && usable > 0.0 {
-                    // The restore ends mid-round; the event engine fires a
-                    // RestartDone event at the same instant.
-                    rec.record(
-                        now + paid_restart,
-                        TraceEvent::RestartFinished { job: job.spec.id.0 },
-                    );
-                }
-                job.gpu_seconds += gpus as f64 * consumed;
-                if job.finished() {
-                    job.placement = Placement::empty();
-                }
-            }
-            drop(execute_span);
-            ctr_failures.add(round_failures);
-
-            now += round;
+        let mut driver =
+            SimDriver::with_horizon(self.spec.clone(), self.cfg.clone(), sched, horizon);
+        for spec in &self.trace {
+            driver.submit(spec.clone());
         }
-
-        assemble_result(
-            sched.name(),
-            &jobs,
-            rounds,
-            makespan,
-            rec.into_trace(),
-            audit.into_stream(),
-        )
+        while driver.fire_next(sched, None) {}
+        driver.finish(sched)
     }
-
-    /// Opens this run's flight recorder (ring bound and spill per config)
-    /// and stamps the stream header. Shared by both engines.
-    pub(crate) fn make_recorder(&self, round: f64) -> FlightRecorder {
-        let mut rec = match &self.cfg.trace_spill {
-            Some(path) => {
-                FlightRecorder::with_spill(self.cfg.trace_capacity, path).unwrap_or_else(|e| {
-                    eprintln!(
-                        "warning: cannot open trace spill {}: {e}; recording in memory only",
-                        path.display()
-                    );
-                    FlightRecorder::new(self.cfg.trace_capacity)
-                })
-            }
-            None => FlightRecorder::new(self.cfg.trace_capacity),
-        };
-        rec.record(
-            0.0,
-            TraceEvent::Meta {
-                gpu_types: self
-                    .spec
-                    .gpu_types()
-                    .map(|t| self.spec.kind(t).name.clone())
-                    .collect(),
-                round_duration: round,
-            },
-        );
-        rec
-    }
-
-    /// Opens this run's audit recorder (ring bound and spill per config)
-    /// and stamps the stream's meta record. Shared by both engines.
-    pub(crate) fn make_audit_recorder(
-        &self,
-        scheduler: &str,
-        round: f64,
-        gap_tolerance: Option<f64>,
-    ) -> AuditRecorder {
-        let mut audit = match &self.cfg.audit_spill {
-            Some(path) => {
-                AuditRecorder::with_spill(self.cfg.audit_capacity, path).unwrap_or_else(|e| {
-                    eprintln!(
-                        "warning: cannot open audit spill {}: {e}; recording in memory only",
-                        path.display()
-                    );
-                    AuditRecorder::new(self.cfg.audit_capacity)
-                })
-            }
-            None => AuditRecorder::new(self.cfg.audit_capacity),
-        };
-        audit.record(
-            0.0,
-            AuditEvent::Meta {
-                scheduler: scheduler.to_string(),
-                round_duration: round,
-                gap_tolerance: gap_tolerance.unwrap_or(0.0),
-            },
-        );
-        audit
-    }
-
-    /// Builds a job's initial state (estimator per profiling mode, charging
-    /// any profiling overhead). Emits the job's `submitted`/`admitted`
-    /// records stamped with the submission instant — both engines call this
-    /// exactly once per job, so the stream carries identical admission
-    /// records even though the round engine admits at round boundaries.
-    pub(crate) fn admit(
-        &self,
-        spec: &JobSpec,
-        rng: &mut ChaCha8Rng,
-        rec: &mut FlightRecorder,
-    ) -> JobState {
-        let t_submit = spec.submit_time.max(0.0);
-        rec.record(
-            t_submit,
-            TraceEvent::JobSubmitted {
-                job: spec.id.0,
-                name: spec.name.clone(),
-                model: spec.model.name().to_string(),
-            },
-        );
-        rec.record(t_submit, TraceEvent::JobAdmitted { job: spec.id.0 });
-        let truth = spec.model.profile().true_model(&self.spec);
-        let limits = batch_limits_of(spec);
-        let eff_prior = truth.eff0;
-        let mut gpu_seconds = 0.0;
-        let estimator = match self.cfg.profiling_mode {
-            ProfilingMode::Oracle => {
-                JobEstimator::oracle(truth.per_type.clone(), eff_prior, limits)
-            }
-            ProfilingMode::Bootstrap => {
-                // One noisy single-GPU profile per GPU type (§3.2).
-                let prior = default_sync_prior();
-                let profiles = truth
-                    .per_type
-                    .iter()
-                    .map(|tp| {
-                        let eps = |rng: &mut ChaCha8Rng| {
-                            1.0 + self.cfg.measurement_noise * symmetric(rng)
-                        };
-                        sia_models::ThroughputParams {
-                            alpha_c: tp.alpha_c * eps(rng).max(0.2),
-                            beta_c: tp.beta_c * eps(rng).max(0.2),
-                            alpha_n: prior.alpha_n,
-                            beta_n: prior.beta_n,
-                            alpha_d: prior.alpha_d,
-                            beta_d: prior.beta_d,
-                            gamma: prior.gamma,
-                            max_local_bsz: tp.max_local_bsz,
-                        }
-                    })
-                    .collect();
-                gpu_seconds += self.cfg.profiling_gpu_seconds * self.spec.num_gpu_types() as f64;
-                JobEstimator::bootstrap(profiles, eff_prior, limits)
-            }
-            ProfilingMode::NoProf => JobEstimator::no_prof(
-                default_sync_prior(),
-                self.spec.num_gpu_types(),
-                eff_prior,
-                limits,
-            ),
-        };
-        JobState {
-            spec: spec.clone(),
-            truth,
-            estimator,
-            placement: Placement::empty(),
-            restart_remaining: 0.0,
-            work_done: 0.0,
-            checkpointed_work: 0.0,
-            restarts: 0,
-            failures: 0,
-            first_start: None,
-            finish_time: None,
-            gpu_seconds,
-            contention_sum: 0.0,
-            contention_rounds: 0,
-        }
-    }
-
-    /// The true goodput of a job on its current placement (the executor's
-    /// batch choice uses the true model — executors measure their own
-    /// performance directly). Straggler multipliers from the capacity view
-    /// scale the result; a clean view (all nodes at 1.0) leaves the value
-    /// bit-identical to the pre-dynamics computation.
-    pub(crate) fn true_goodput(
-        &self,
-        job: &JobState,
-        view: &ClusterView,
-    ) -> Option<(f64, sia_models::GoodputPoint, sia_cluster::GpuTypeId)> {
-        let gpu_type = job.placement.gpu_type(view.spec());
-        let gpus = job.placement.total_gpus();
-        let width = job
-            .spec
-            .model
-            .profile()
-            .pipeline
-            .and_then(|p| p.gpus_per_replica(&self.spec.kind(gpu_type).name))
-            .unwrap_or(1);
-        if !gpus.is_multiple_of(width) || gpus < width {
-            return None;
-        }
-        let replicas = gpus / width;
-        let shape = shape_of(&job.placement, replicas);
-        let limits = execution_limits(&job.spec, replicas);
-        let eff = job.truth.eff_at(job.progress());
-        let point = optimize_goodput(&job.truth.per_type[gpu_type.0], &eff, shape, limits)?;
-        let mut goodput = point.goodput;
-        let mult = view.placement_degradation(&job.placement);
-        if mult != 1.0 {
-            goodput *= mult;
-        }
-        Some((goodput, point, gpu_type))
-    }
-
-    /// One noisy executor report (throughput sample + measured gradient
-    /// noise scale) fed into the job's estimator. Both engines call this
-    /// once per scheduled round per running job, with identical RNG draw
-    /// order (iteration-time noise first, then the phi-measurement noise).
-    pub(crate) fn executor_report(
-        &self,
-        job: &mut JobState,
-        gpus: usize,
-        gpu_type: sia_cluster::GpuTypeId,
-        point: &sia_models::GoodputPoint,
-        rng: &mut ChaCha8Rng,
-    ) {
-        let noise = 1.0 + self.cfg.measurement_noise * symmetric(rng);
-        let width = job
-            .spec
-            .model
-            .profile()
-            .pipeline
-            .and_then(|p| p.gpus_per_replica(&self.spec.kind(gpu_type).name))
-            .unwrap_or(1);
-        let replicas = gpus / width;
-        let shape = shape_of(&job.placement, replicas);
-        let true_iter =
-            job.truth.per_type[gpu_type.0].t_iter(shape, point.local_bsz, point.accum_steps);
-        let obs = Observation {
-            gpu_type,
-            sample: FitSample {
-                shape,
-                local_bsz: point.local_bsz,
-                accum_steps: point.accum_steps,
-                iter_time: (true_iter * noise).max(1e-6),
-            },
-            // The executor measures the noise scale via the two-batch
-            // gradient-statistics trick rather than observing it directly.
-            measured_phi: sia_models::measure_phi(
-                job.truth.phi_at(job.progress()),
-                point.local_bsz,
-                (point.total_bsz).max(point.local_bsz * 2.0),
-                self.cfg.measurement_noise.min(1.0) * symmetric(rng) * 10.0,
-            ),
-        };
-        job.estimator.observe(obs);
-    }
-}
-
-/// Emits one audit `round` record from the policy's reported solver stats
-/// (no record when the policy tracks none — baselines produce meta-only
-/// streams). Shared by both engines so the records cannot drift apart.
-pub(crate) fn record_audit_round(
-    audit: &mut AuditRecorder,
-    audit_round: u64,
-    now: f64,
-    contention: usize,
-    stats: &Option<SolverStats>,
-) {
-    let Some(s) = stats else { return };
-    audit.record(
-        now,
-        AuditEvent::Round {
-            round: audit_round,
-            contention,
-            objective: s.objective,
-            best_bound: s.best_bound,
-            lp_objective: s.lp_objective,
-            outcome: s.outcome.label().to_string(),
-            nodes: s.nodes,
-            pruned: s.nodes_pruned,
-            first_incumbent_node: s.first_incumbent_node.map(|n| n as u64),
-            first_incumbent_s: s.first_incumbent_s,
-            seed_objective: s.incumbent_seed,
-            warm_pivots_saved: s.warm_pivots_saved,
-            solve_s: s.solve_s,
-            shards: s.shards as u64,
-            budget_exhausted: s.budget_exhausted,
-            lagrangian_iters: s.lagrangian_iters as u64,
-            lagrangian_gap: s.lagrangian_gap,
-            lagrangian_norm: s.lagrangian_norm,
-        },
-    );
-}
-
-/// What one round's validate/apply pass produced.
-pub(crate) struct RoundApply {
-    /// Per-job allocations after the round, sorted by job id.
-    pub(crate) allocations: Vec<(JobId, GpuTypeId, usize)>,
-    /// Jobs whose running placement was replaced (restart count delta).
-    pub(crate) restarts: u64,
-    /// Jobs whose placement changed at all.
-    pub(crate) churn: u64,
-    /// Indices (into `jobs`) of the changed jobs, in apply order — the
-    /// event engine re-arms per-placement failure processes from this.
-    pub(crate) changed: Vec<usize>,
-}
-
-/// Validates and applies one round of placements: the single shared apply
-/// loop of both engines. Consumes engine-stream RNG draws (restart jitter)
-/// in exactly the legacy order and emits the round's `alloc` /
-/// `restart_started` flight-recorder records, so the two engines cannot
-/// drift apart in either RNG sequence or trace content.
-///
-/// `fallback` tags this round's allocation changes as decided by a
-/// fallback heuristic (`ilp-infeasible-fallback`) rather than the policy's
-/// primary solve.
-///
-/// Every allocation change additionally emits one audit `decision` record:
-/// the change's reason plus the chosen/best candidate values from
-/// `provenance` (zeroes when the policy reported none for the job).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_allocations(
-    sim: &Simulator,
-    jobs: &mut [JobState],
-    active: &[usize],
-    alloc_map: &AllocationMap,
-    now: f64,
-    fallback: bool,
-    view: &ClusterView,
-    rng: &mut ChaCha8Rng,
-    rec: &mut FlightRecorder,
-    audit: &mut AuditRecorder,
-    audit_round: u64,
-    provenance: &BTreeMap<JobId, DecisionInfo>,
-) -> RoundApply {
-    let apply_span = sia_telemetry::span("engine.apply");
-    let spec = view.spec();
-    // Only placeable capacity enters the pool; a kept placement's slots on
-    // Draining nodes are skipped (nothing new can collide with them there).
-    let mut free = FreeGpus::for_view(view);
-    let contention = active.len();
-    let mut out = RoundApply {
-        allocations: Vec::new(),
-        restarts: 0,
-        churn: 0,
-        changed: Vec::new(),
-    };
-    for &i in active {
-        let job = &mut jobs[i];
-        let new = alloc_map
-            .get(&job.spec.id)
-            .cloned()
-            .unwrap_or_else(Placement::empty);
-        if !new.is_empty() {
-            debug_assert!(
-                new.is_single_type(spec),
-                "scheduler placed {} on mixed GPU types",
-                job.spec.id
-            );
-            // Capacity-shrink audit: after the boundary's eviction sweep no
-            // placement — kept or fresh — may reference a removed node.
-            debug_assert!(
-                !view.references_removed(&new),
-                "scheduler placed {} on a removed node",
-                job.spec.id
-            );
-            free.take_available(view, &new); // panics on over-commit: scheduler bug
-        }
-        if new != job.placement {
-            out.churn += 1;
-            out.changed.push(i);
-            let restart = !job.placement.is_empty();
-            if restart {
-                job.restarts += 1;
-                out.restarts += 1;
-            }
-            let reason = if fallback {
-                AllocReason::IlpInfeasibleFallback
-            } else if new.is_empty() {
-                AllocReason::Preempted
-            } else if job.placement.is_empty() {
-                AllocReason::Started
-            } else if new.gpu_type(spec) != job.placement.gpu_type(spec) {
-                AllocReason::Migrated
-            } else if new.total_gpus() > job.placement.total_gpus() {
-                AllocReason::ScaledUp
-            } else if new.total_gpus() < job.placement.total_gpus() {
-                AllocReason::ScaledDown
-            } else {
-                // Same type, same size, different nodes: a migration.
-                AllocReason::Migrated
-            };
-            rec.record(
-                now,
-                TraceEvent::AllocationChanged {
-                    job: job.spec.id.0,
-                    gpu_type: (!new.is_empty()).then(|| new.gpu_type(spec).0),
-                    gpus: new.total_gpus(),
-                    reason,
-                    restart,
-                },
-            );
-            let d = provenance.get(&job.spec.id);
-            audit.record(
-                now,
-                AuditEvent::Decision {
-                    round: audit_round,
-                    job: job.spec.id.0,
-                    gpu_type: (!new.is_empty()).then(|| new.gpu_type(spec).0),
-                    gpus: new.total_gpus(),
-                    reason,
-                    chosen_value: d.map_or(0.0, |d| d.chosen_value),
-                    best_value: d.map_or(0.0, |d| d.best_value),
-                },
-            );
-            if !new.is_empty() {
-                let jitter = 1.0 + sim.cfg.restart_jitter * symmetric(rng);
-                job.restart_remaining = job.truth.restart_delay * jitter.max(0.1);
-                // Every (re)placement pays a checkpoint restore, including
-                // the cold start — the engine charges it identically.
-                rec.record(
-                    now,
-                    TraceEvent::RestartStarted {
-                        job: job.spec.id.0,
-                        checkpoint_cost: job.restart_remaining,
-                    },
-                );
-                if job.first_start.is_none() {
-                    job.first_start = Some(now);
-                }
-            }
-            job.placement = new;
-        }
-        if !job.placement.is_empty() {
-            let t = job.placement.gpu_type(spec);
-            out.allocations
-                .push((job.spec.id, t, job.placement.total_gpus()));
-        }
-        job.contention_sum += contention as f64;
-        job.contention_rounds += 1;
-    }
-    drop(apply_span);
-    // Deterministic log order: golden files and cross-platform diffs must
-    // not depend on how the map handed out allocations.
-    out.allocations.sort_unstable_by_key(|&(id, _, _)| id);
-    out
-}
-
-/// Records one flight-recorder event per applied capacity change, stamped
-/// with the *scripted* event time (both engines call this with the same
-/// change sequence, so the records are identical even though the round
-/// engine observes mid-round events late).
-pub(crate) fn record_capacity(changes: &[CapacityChange], rec: &mut FlightRecorder) {
-    for ch in changes {
-        let ev = match ch.kind {
-            CapacityChangeKind::Added => TraceEvent::CapacityAdded {
-                gpu_type: ch.gpu_type.0,
-                nodes: ch.nodes.len(),
-                gpus: ch.gpus,
-            },
-            CapacityChangeKind::Removed => TraceEvent::CapacityRemoved {
-                gpu_type: ch.gpu_type.0,
-                nodes: ch.nodes.len(),
-                gpus: ch.gpus,
-                graceful: false,
-            },
-            CapacityChangeKind::DrainFinished => TraceEvent::CapacityRemoved {
-                gpu_type: ch.gpu_type.0,
-                nodes: ch.nodes.len(),
-                gpus: ch.gpus,
-                graceful: true,
-            },
-            CapacityChangeKind::DrainStarted => TraceEvent::DrainStarted {
-                gpu_type: ch.gpu_type.0,
-                nodes: ch.nodes.len(),
-                gpus: ch.gpus,
-            },
-            CapacityChangeKind::Degraded => TraceEvent::NodeDegraded {
-                gpu_type: ch.gpu_type.0,
-                nodes: ch.nodes.len(),
-                factor: ch.factor,
-            },
-            CapacityChangeKind::Restored => TraceEvent::NodeDegraded {
-                gpu_type: ch.gpu_type.0,
-                nodes: ch.nodes.len(),
-                factor: 1.0,
-            },
-        };
-        rec.record(ch.time, ev);
-    }
-}
-
-/// Evicts every job whose placement touches a node removed by `changes`
-/// (abrupt kill or expired drain). Kills also roll progress back to the
-/// last epoch checkpoint; drained jobs keep their work. Both engines run
-/// this sweep at the round boundary that enforces the change, so eviction
-/// records and job state transitions are identical across engines. No RNG
-/// is drawn here — the evicted job pays its restore when (and if) the
-/// scheduler re-places it, through the ordinary apply path.
-pub(crate) fn evict_for_capacity(
-    changes: &[CapacityChange],
-    jobs: &mut [JobState],
-    now: f64,
-    rec: &mut FlightRecorder,
-    audit: &mut AuditRecorder,
-    audit_round: u64,
-) -> u64 {
-    let mut killed: Vec<usize> = Vec::new();
-    let mut drained: Vec<usize> = Vec::new();
-    for ch in changes {
-        if !ch.evicts() {
-            continue;
-        }
-        if ch.lose_progress() {
-            killed.extend_from_slice(&ch.nodes);
-        } else {
-            drained.extend_from_slice(&ch.nodes);
-        }
-    }
-    if killed.is_empty() && drained.is_empty() {
-        return 0;
-    }
-    let mut evicted = 0u64;
-    for job in jobs.iter_mut() {
-        if job.finished() || job.placement.is_empty() {
-            continue;
-        }
-        let touches = |nodes: &[usize]| job.slots_touch(nodes);
-        let lose = touches(&killed);
-        if !lose && !touches(&drained) {
-            continue;
-        }
-        if lose {
-            job.work_done = job.checkpointed_work;
-        }
-        job.placement = Placement::empty();
-        job.restarts += 1;
-        evicted += 1;
-        rec.record(
-            now,
-            TraceEvent::AllocationChanged {
-                job: job.spec.id.0,
-                gpu_type: None,
-                gpus: 0,
-                reason: AllocReason::CapacityLost,
-                restart: true,
-            },
-        );
-        // Capacity loss is not a solver choice — the decision record tags
-        // the change with zero candidate values so regret stays untouched.
-        audit.record(
-            now,
-            AuditEvent::Decision {
-                round: audit_round,
-                job: job.spec.id.0,
-                gpu_type: None,
-                gpus: 0,
-                reason: AllocReason::CapacityLost,
-                chosen_value: 0.0,
-                best_value: 0.0,
-            },
-        );
-    }
-    evicted
 }
 
 /// Whether this round's solve fell back past the exact ILP (its allocation
@@ -993,57 +434,6 @@ pub(crate) fn is_fallback(stats: &Option<crate::result::SolverStats>) -> bool {
         Some(crate::result::SolveOutcome::LagrangianFallback)
             | Some(crate::result::SolveOutcome::GreedyFallback)
     )
-}
-
-/// Builds the final [`SimResult`] from terminal per-job state (shared by
-/// both engines so record fields cannot drift apart).
-pub(crate) fn assemble_result(
-    scheduler: &'static str,
-    jobs: &[JobState],
-    rounds: Vec<RoundLog>,
-    makespan: f64,
-    trace: FlightTrace,
-    audit: AuditStream,
-) -> SimResult {
-    let mut unfinished = 0usize;
-    let records: Vec<JobRecord> = jobs
-        .iter()
-        .map(|j| {
-            if !j.finished() {
-                unfinished += 1;
-            }
-            JobRecord {
-                id: j.spec.id,
-                name: j.spec.name.clone(),
-                model: j.spec.model,
-                category: j.spec.category,
-                submit_time: j.spec.submit_time,
-                first_start: j.first_start,
-                finish_time: j.finish_time,
-                gpu_seconds: j.gpu_seconds,
-                restarts: j.restarts,
-                failures: j.failures,
-                avg_contention: if j.contention_rounds > 0 {
-                    j.contention_sum / j.contention_rounds as f64
-                } else {
-                    1.0
-                },
-                max_gpus: j.spec.max_gpus,
-                work_target: j.spec.work_target,
-                work_done: j.work_done,
-            }
-        })
-        .collect();
-
-    SimResult {
-        scheduler,
-        records,
-        rounds,
-        makespan,
-        unfinished,
-        trace,
-        audit,
-    }
 }
 
 /// Allocation shape of a placement with a known replica count.
@@ -1086,7 +476,7 @@ pub(crate) fn symmetric(rng: &mut ChaCha8Rng) -> f64 {
 mod tests {
     use super::*;
     use crate::scheduler::AllocationMap;
-    use sia_cluster::{ClusterSpec, Configuration};
+    use sia_cluster::{Configuration, FreeGpus};
     use sia_workloads::{TraceConfig, TraceKind};
 
     /// A trivial scheduler: gives every job 1 GPU (first-fit) and never
@@ -1288,10 +678,9 @@ mod tests {
 
     #[test]
     fn high_failure_rates_do_not_saturate() {
-        // Regression: the per-round failure count used to be a Bernoulli
-        // draw on `min(lambda, 1)`, silently capping at one failure per
-        // round. At lambda ~= 10 failures per round the run must observe
-        // far more failures than it has rounds.
+        // Failures are exact-time events, not a per-round draw: at
+        // lambda ~= 10 failures per round the run must observe far more
+        // failures than it has rounds.
         let spec = ClusterSpec::homogeneous_64();
         let mut trace = tiny_trace(1);
         trace.jobs[0].work_target *= 1e9; // never finishes
@@ -1301,25 +690,20 @@ mod tests {
             failure_rate_per_gpu_hour: 600.0,
             ..SimConfig::default()
         };
-        let sim = Simulator::new(spec, &trace, cfg);
-        for result in [
-            sim.run_round(&mut OneGpuEach),
-            sim.run_events(&mut OneGpuEach),
-        ] {
-            let rounds = result.rounds.len() as u64;
-            let failures = u64::from(result.records[0].failures);
-            assert!(
-                failures > 3 * rounds,
-                "failure sampling saturated: {failures} failures in {rounds} rounds"
-            );
-        }
+        let result = Simulator::new(spec, &trace, cfg).run(&mut OneGpuEach);
+        let rounds = result.rounds.len() as u64;
+        let failures = u64::from(result.records[0].failures);
+        assert!(
+            failures > 3 * rounds,
+            "failure sampling saturated: {failures} failures in {rounds} rounds"
+        );
     }
 
     #[test]
     fn failure_streams_do_not_perturb_noise_draws() {
-        // Event engine: failures draw from their own RNG stream, so turning
-        // injection on must not change when jobs would otherwise finish if
-        // no failure actually lands before completion. Compare a zero-rate
+        // Failures draw from their own RNG stream, so turning injection on
+        // must not change when jobs would otherwise finish if no failure
+        // actually lands before completion. Compare a zero-rate
         // run against a tiny-but-nonzero rate where no failure fires.
         let spec = ClusterSpec::homogeneous_64();
         let trace = tiny_trace(4);
@@ -1331,7 +715,7 @@ mod tests {
                 failure_rate_per_gpu_hour: rate,
                 ..SimConfig::default()
             };
-            Simulator::new(spec.clone(), &trace, cfg).run_events(&mut OneGpuEach)
+            Simulator::new(spec.clone(), &trace, cfg).run(&mut OneGpuEach)
         };
         let clean = run_with(0.0);
         let armed = run_with(1e-9);

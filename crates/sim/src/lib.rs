@@ -9,11 +9,11 @@
 //!   [`Scheduler`] observes the visible job state ([`JobView`]) and returns
 //!   complete placements; between rounds jobs progress at the goodput of
 //!   their *true* (hidden) performance model;
-//! * two interchangeable engines ([`EngineKind`]): the legacy fixed-round
-//!   loop, and the default event-driven engine on the `sia-events` kernel
-//!   (arrivals, completions, failures and restart completions are exact-time
-//!   events; the scheduling round is a recurring timer; idle spans are
-//!   skipped). With failure injection off the two are bit-identical;
+//! * one simulation loop, [`SimDriver`], on the `sia-events` kernel:
+//!   arrivals, completions, failures, restart completions and capacity
+//!   changes are exact-time events, the scheduling round is a recurring
+//!   timer, and idle spans are skipped. [`Simulator::run`] drives it over a
+//!   whole trace; `sia-serve` steps it as commands arrive;
 //! * Adaptive Executors pick the goodput-optimal batch size and gradient
 //!   accumulation for whatever resources a job holds, and report noisy
 //!   throughput/gradient statistics that refine the job's
@@ -29,14 +29,13 @@
 
 pub mod driver;
 pub mod engine;
-mod event_engine;
 pub mod result;
 pub mod scheduler;
 
 pub use driver::{
-    CancelOutcome, JobStatus, RoundHealth, RoundOutcome, RoundWatch, SimDriver,
+    CancelOutcome, JobStatus, RoundHealth, RoundOutcome, RoundWatch, SimDriver, StepEvent,
     SNAPSHOT_STATE_VERSION,
 };
-pub use engine::{EngineKind, SimConfig, Simulator};
+pub use engine::{SimConfig, Simulator};
 pub use result::{DecisionInfo, JobRecord, RoundLog, SimResult, SolveOutcome, SolverStats};
 pub use scheduler::{AllocationMap, JobView, Scheduler};

@@ -45,9 +45,9 @@
 //! `round.first_incumbent_s`, which are host wall-clock, and the emission
 //! order. [`AuditStream::canonical_jsonl`] erases exactly these — it zeroes
 //! the two wall-clock fields and sorts records by `(t, kind-rank, job)` —
-//! so two same-seed runs, on the same engine or across engines (failures
-//! off), produce **byte-identical** canonical streams, exactly like the
-//! flight trace. `tests/audit_tools.rs` pins this.
+//! so two same-seed runs, batch or daemon-stepped, produce
+//! **byte-identical** canonical streams, exactly like the flight trace.
+//! `tests/audit_tools.rs` pins this.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
@@ -629,8 +629,7 @@ impl AuditStream {
     /// Canonical serialization for byte-for-byte comparison: records
     /// sorted by `(t, kind-rank, job)`, `seq` renumbered in that order, and
     /// the host-wall-clock fields (`solve_s`, `first_incumbent_s`) zeroed.
-    /// Two same-seed runs — on either engine, or across engines with
-    /// failures off — produce identical canonical streams.
+    /// Two same-seed runs produce identical canonical streams.
     pub fn canonical_jsonl(&self) -> String {
         let mut sorted: Vec<AuditRecord> = self.records.clone();
         sorted.sort_by(|a, b| {

@@ -3,8 +3,7 @@
 //! Where the rest of `sia-telemetry` answers *where does the scheduler's
 //! host wall-clock go*, this module answers *what happened to job J inside
 //! the simulation, and why*: a typed per-job lifecycle event stream stamped
-//! with **simulated** time, recorded by both simulation engines through the
-//! same shared helpers so the two streams are comparable record-for-record.
+//! with **simulated** time, recorded by the simulation loop.
 //!
 //! Three pieces:
 //!
@@ -45,17 +44,17 @@
 //! [`AllocReason`] labels and `restart` flags whether the change preempted
 //! a running job (i.e. counts toward the job's restart total).
 //!
-//! ## Determinism and cross-engine identity
+//! ## Determinism
 //!
 //! All fields are simulation-determined except `round.policy_runtime_s`,
-//! which is host wall-clock, and the emission *order*, which reflects each
-//! engine's processing order (the round engine logs a completion when its
-//! execute scan discovers it; the event engine logs it when the completion
-//! event fires). [`FlightTrace::canonical_jsonl`] erases exactly these two
-//! artifacts — it zeroes `policy_runtime_s` and sorts records by
-//! `(t, kind-rank, job)` — and nothing else, so two same-seed runs, on the
-//! same engine or across engines (failures off), produce **byte-identical**
-//! canonical streams. `tests/engine_parity.rs` pins this.
+//! which is host wall-clock, and the emission *order*, which reflects the
+//! loop's processing order (admission records are stamped with the submit
+//! instant but emitted at the admitting round, for example).
+//! [`FlightTrace::canonical_jsonl`] erases exactly these two artifacts — it
+//! zeroes `policy_runtime_s` and sorts records by `(t, kind-rank, job)` —
+//! and nothing else, so two same-seed runs, batch or daemon-stepped,
+//! produce **byte-identical** canonical streams. `tests/engine_parity.rs`
+//! pins this.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
@@ -182,8 +181,8 @@ pub enum TraceEvent {
     JobFailed {
         /// Job id.
         job: u64,
-        /// Number of failures observed at this instant (the round engine
-        /// draws a per-round Poisson count; the event engine always 1).
+        /// Number of failures observed at this instant (the simulator
+        /// records each exact-time failure on its own, so always 1).
         count: u64,
     },
     /// The job completed its work target.
@@ -290,9 +289,9 @@ impl TraceEvent {
         }
     }
 
-    /// Canonical same-timestamp ordering class (mirrors the event engine's
-    /// same-timestamp priorities: completions before admissions before the
-    /// round, with the round's own decisions last).
+    /// Canonical same-timestamp ordering class (mirrors the simulation
+    /// loop's same-timestamp event priorities: completions before
+    /// admissions before the round, with the round's own decisions last).
     fn rank(&self) -> u8 {
         match self {
             TraceEvent::Meta { .. } => 0,
@@ -305,8 +304,8 @@ impl TraceEvent {
             TraceEvent::AllocationChanged { .. } => 7,
             TraceEvent::RestartStarted { .. } => 8,
             // Capacity events sort after job records at the same instant;
-            // both engines record them at the scripted event time, so any
-            // fixed relative order keeps the canonical streams identical.
+            // they are recorded at the scripted event time, so any fixed
+            // relative order keeps the canonical streams identical.
             TraceEvent::CapacityAdded { .. } => 9,
             TraceEvent::CapacityRemoved { .. } => 10,
             TraceEvent::DrainStarted { .. } => 11,
@@ -705,9 +704,8 @@ impl FlightTrace {
 
     /// Canonical serialization for byte-for-byte comparison: records sorted
     /// by `(t, kind-rank, job)`, `seq` renumbered in that order, and the
-    /// host-wall-clock `policy_runtime_s` zeroed. Two same-seed runs — on
-    /// either engine, or across engines with failures off — produce
-    /// identical canonical streams.
+    /// host-wall-clock `policy_runtime_s` zeroed. Two same-seed runs
+    /// produce identical canonical streams.
     pub fn canonical_jsonl(&self) -> String {
         let mut sorted: Vec<FlightRecord> = self.records.clone();
         sorted.sort_by(|a, b| {

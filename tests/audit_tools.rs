@@ -1,28 +1,22 @@
-//! End-to-end checks on the decision-audit stream (sia-audit): cross-engine
-//! byte identity of the canonical stream, reconciliation of the derived
+//! End-to-end checks on the decision-audit stream (sia-audit): byte
+//! identity of the canonical stream between the batch run and a daemon-style
+//! stepped driver, reconciliation of the derived
 //! report against the simulator's own round log, the JSONL spill file, and
 //! the `sia-cli audit` / `trace-report --audit` surfaces.
 
 use std::path::Path;
 use std::process::Command;
 
+mod common;
+
+use common::{quick_trace, run_both};
 use serde_json::Value;
 use sia::cluster::ClusterSpec;
 use sia::core::SiaPolicy;
 use sia::models::ProfilingMode;
-use sia::sim::{EngineKind, Scheduler, SimConfig, SimResult, Simulator};
+use sia::sim::{Scheduler, SimConfig, SimResult, Simulator};
 use sia::telemetry::AuditStream;
-use sia::workloads::{Trace, TraceConfig, TraceKind};
-
-/// The quick_compare workload, shortened for debug-mode test budgets.
-fn quick_trace(seed: u64) -> Trace {
-    let mut t = Trace::generate(&TraceConfig::new(TraceKind::Philly, seed).with_max_gpus_cap(16));
-    t.jobs.truncate(24);
-    for j in &mut t.jobs {
-        j.work_target *= 0.05;
-    }
-    t
-}
+use sia::workloads::Trace;
 
 fn run_engine(make: &dyn Fn() -> Box<dyn Scheduler>, trace: &Trace, cfg: &SimConfig) -> SimResult {
     Simulator::new(ClusterSpec::heterogeneous_64(), trace, cfg.clone()).run(make().as_mut())
@@ -30,35 +24,24 @@ fn run_engine(make: &dyn Fn() -> Box<dyn Scheduler>, trace: &Trace, cfg: &SimCon
 
 #[test]
 fn audit_stream_bit_identical_across_engines() {
+    // "Engines" here are the two ways of driving the one simulation loop:
+    // the batch run and the daemon-style stepped driver.
     let trace = quick_trace(1);
+    let cfg = SimConfig {
+        seed: 1,
+        ..SimConfig::default()
+    };
     for make in [
         (&|| Box::new(SiaPolicy::default()) as Box<dyn Scheduler>)
             as &dyn Fn() -> Box<dyn Scheduler>,
         &|| Box::new(sia::baselines::GavelPolicy::default()),
     ] {
-        let round = run_engine(
-            make,
-            &trace,
-            &SimConfig {
-                engine: EngineKind::Round,
-                seed: 1,
-                ..SimConfig::default()
-            },
-        );
-        let events = run_engine(
-            make,
-            &trace,
-            &SimConfig {
-                engine: EngineKind::Events,
-                seed: 1,
-                ..SimConfig::default()
-            },
-        );
+        let (batch, stepped) = run_both(make, &trace, &cfg);
         let (a, b) = (
-            round.audit.canonical_jsonl(),
-            events.audit.canonical_jsonl(),
+            batch.audit.canonical_jsonl(),
+            stepped.audit.canonical_jsonl(),
         );
-        assert!(!a.is_empty(), "round engine recorded no audit stream");
+        assert!(!a.is_empty(), "batch run recorded no audit stream");
         if a != b {
             for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
                 assert_eq!(la, lb, "canonical audit streams diverge at record {i}");
@@ -75,29 +58,23 @@ fn audit_stream_bit_identical_across_engines() {
 #[test]
 fn audit_same_seed_reruns_are_byte_identical() {
     let trace = quick_trace(5);
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let run = || {
-            run_engine(
-                &|| Box::new(SiaPolicy::default()),
-                &trace,
-                &SimConfig {
-                    engine,
-                    seed: 5,
-                    ..SimConfig::default()
-                },
-            )
-        };
-        let (a, b) = (run(), run());
-        assert!(
-            !a.audit.records.is_empty(),
-            "{engine:?} engine recorded no audit stream"
-        );
-        assert_eq!(
-            a.audit.canonical_jsonl(),
-            b.audit.canonical_jsonl(),
-            "{engine:?} audit stream is not deterministic across same-seed runs"
-        );
-    }
+    let run = || {
+        run_engine(
+            &|| Box::new(SiaPolicy::default()),
+            &trace,
+            &SimConfig {
+                seed: 5,
+                ..SimConfig::default()
+            },
+        )
+    };
+    let (a, b) = (run(), run());
+    assert!(!a.audit.records.is_empty(), "run recorded no audit stream");
+    assert_eq!(
+        a.audit.canonical_jsonl(),
+        b.audit.canonical_jsonl(),
+        "audit stream is not deterministic across same-seed runs"
+    );
 }
 
 #[test]
@@ -107,7 +84,6 @@ fn audit_report_reconciles_with_sim_result() {
         &|| Box::new(SiaPolicy::default()),
         &trace,
         &SimConfig {
-            engine: EngineKind::Events,
             seed: 7,
             profiling_mode: ProfilingMode::Oracle,
             ..SimConfig::default()
@@ -173,7 +149,6 @@ fn audit_spill_round_trips_and_serialized_gaps_match() {
         &|| Box::new(SiaPolicy::default()),
         &trace,
         &SimConfig {
-            engine: EngineKind::Events,
             seed: 7,
             audit_spill: Some(path.clone()),
             ..SimConfig::default()

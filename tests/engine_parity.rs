@@ -1,62 +1,38 @@
-//! Round engine vs event engine parity.
+//! Batch vs stepped parity of the simulation loop.
 //!
-//! The event-driven engine replays the round engine's RNG draw order from
-//! an identically-seeded stream, so with failure injection off the two are
-//! bit-identical — not merely statistically close. These tests pin that
-//! guarantee across the Sia policy and two baselines on the
-//! `quick_compare` configuration (hetero-64 cluster, Philly trace), plus
-//! the physical-cluster noise profile.
+//! The one simulation loop ([`SimDriver`]) is driven two ways:
+//! `Simulator::run` submits a whole trace up front and drains the event
+//! queue, while the `sia-serve` daemon submits each job only when virtual
+//! time reaches it ([`SimDriver::step_until`]). Both must be bit-identical
+//! — same RNG draws, placements, completion instants and canonical streams.
+//! These tests (whose `*_engines_*` names refer to these two drive modes)
+//! pin that across the Sia policy and two baselines on the `quick_compare`
+//! configuration (hetero-64 cluster, Philly trace), the physical-cluster
+//! noise profile, horizon truncation, the sharded solve, failure injection
+//! and capacity dynamics, plus same-seed and worker-count determinism.
+//! Each scenario's batch run is also checked against its recorded
+//! `[flight, audit]` digest (`tests/common/mod.rs`), which pins its
+//! absolute output.
 
+mod common;
+
+use common::*;
 use sia::baselines::{GavelPolicy, PolluxPolicy};
 use sia::cluster::ClusterSpec;
 use sia::core::{SiaConfig, SiaPolicy};
-use sia::sim::{EngineKind, Scheduler, SimConfig, SimResult, Simulator};
-use sia::workloads::{Trace, TraceConfig, TraceKind};
-
-/// The quick_compare workload, shortened for debug-mode test budgets.
-fn quick_trace(seed: u64) -> Trace {
-    let mut t = Trace::generate(&TraceConfig::new(TraceKind::Philly, seed).with_max_gpus_cap(16));
-    t.jobs.truncate(24);
-    for j in &mut t.jobs {
-        j.work_target *= 0.05;
-    }
-    t
-}
-
-fn run_both(
-    make: &dyn Fn() -> Box<dyn Scheduler>,
-    trace: &Trace,
-    cfg: &SimConfig,
-) -> (SimResult, SimResult) {
-    let spec = ClusterSpec::heterogeneous_64();
-    let round = Simulator::new(
-        spec.clone(),
-        trace,
-        SimConfig {
-            engine: EngineKind::Round,
-            ..cfg.clone()
-        },
-    )
-    .run(make().as_mut());
-    let events = Simulator::new(
-        spec,
-        trace,
-        SimConfig {
-            engine: EngineKind::Events,
-            ..cfg.clone()
-        },
-    )
-    .run(make().as_mut());
-    (round, events)
-}
+use sia::sim::{Scheduler, SimConfig, SimResult, Simulator};
 
 /// Exact per-job parity: identical completion times, GPU-time accounting
 /// and restart counts, job by job.
-fn assert_bit_parity(round: &SimResult, events: &SimResult) {
-    assert_eq!(round.records.len(), events.records.len(), "admission count");
-    assert_eq!(round.unfinished, events.unfinished);
-    assert_eq!(round.makespan, events.makespan, "makespan");
-    for (r, e) in round.records.iter().zip(&events.records) {
+fn assert_bit_parity(batch: &SimResult, stepped: &SimResult) {
+    assert_eq!(
+        batch.records.len(),
+        stepped.records.len(),
+        "admission count"
+    );
+    assert_eq!(batch.unfinished, stepped.unfinished);
+    assert_eq!(batch.makespan, stepped.makespan, "makespan");
+    for (r, e) in batch.records.iter().zip(&stepped.records) {
         assert_eq!(r.id, e.id, "record order");
         assert_eq!(r.finish_time, e.finish_time, "job {} finish", r.id);
         assert_eq!(r.first_start, e.first_start, "job {} start", r.id);
@@ -65,25 +41,26 @@ fn assert_bit_parity(round: &SimResult, events: &SimResult) {
         assert_eq!(r.failures, e.failures, "job {} failures", r.id);
         assert_eq!(r.work_done, e.work_done, "job {} work", r.id);
     }
-    // Scheduling decisions must also match round-for-round. The event
-    // engine fast-forwards over rounds with no active jobs (its documented
-    // divergence), so compare against the round engine's non-empty rounds.
-    let busy: Vec<_> = round.rounds.iter().filter(|r| r.active_jobs > 0).collect();
-    assert_eq!(busy.len(), events.rounds.len(), "busy round count");
-    for (a, b) in busy.iter().zip(&events.rounds) {
+    // Scheduling decisions must also match round-for-round.
+    assert_eq!(batch.rounds.len(), stepped.rounds.len(), "round count");
+    for (a, b) in batch.rounds.iter().zip(&stepped.rounds) {
         assert_eq!(a.time, b.time, "round time");
         assert_eq!(a.active_jobs, b.active_jobs, "active at t={}", a.time);
         assert_eq!(a.allocations, b.allocations, "allocations at t={}", a.time);
     }
-    // The flight-recorder streams must also agree record-for-record in
-    // canonical form (emission order and the host-wall-clock policy runtime
-    // are the only engine-specific artifacts, and canonicalization erases
-    // exactly those).
-    let (a, b) = (
-        round.trace.canonical_jsonl(),
-        events.trace.canonical_jsonl(),
+    // Both canonical streams must agree record-for-record (the
+    // host-wall-clock policy runtime is the only run-specific artifact, and
+    // canonicalization erases it).
+    assert_eq!(
+        batch.audit.canonical_jsonl(),
+        stepped.audit.canonical_jsonl(),
+        "canonical audit streams diverge"
     );
-    assert!(!a.is_empty(), "round engine recorded no trace");
+    let (a, b) = (
+        batch.trace.canonical_jsonl(),
+        stepped.trace.canonical_jsonl(),
+    );
+    assert!(!a.is_empty(), "batch run recorded no trace");
     if a != b {
         for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
             assert_eq!(la, lb, "canonical trace diverges at record {i}");
@@ -103,9 +80,10 @@ fn sia_engines_bit_identical() {
         seed: 1,
         ..SimConfig::default()
     };
-    let (round, events) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
-    assert_eq!(round.unfinished, 0, "workload must complete");
-    assert_bit_parity(&round, &events);
+    let (batch, stepped) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
+    assert_eq!(batch.unfinished, 0, "workload must complete");
+    assert_golden("sia", &batch, SIA);
+    assert_bit_parity(&batch, &stepped);
 }
 
 #[test]
@@ -115,10 +93,12 @@ fn baselines_engines_bit_identical() {
         seed: 1,
         ..SimConfig::default()
     };
-    let (round, events) = run_both(&|| Box::new(PolluxPolicy::default()), &trace, &cfg);
-    assert_bit_parity(&round, &events);
-    let (round, events) = run_both(&|| Box::new(GavelPolicy::default()), &trace, &cfg);
-    assert_bit_parity(&round, &events);
+    let (batch, stepped) = run_both(&|| Box::new(PolluxPolicy::default()), &trace, &cfg);
+    assert_golden("pollux", &batch, POLLUX);
+    assert_bit_parity(&batch, &stepped);
+    let (batch, stepped) = run_both(&|| Box::new(GavelPolicy::default()), &trace, &cfg);
+    assert_golden("gavel", &batch, GAVEL);
+    assert_bit_parity(&batch, &stepped);
 }
 
 #[test]
@@ -127,14 +107,15 @@ fn physical_noise_profile_bit_identical() {
     // jitter) — the widest RNG draw surface.
     let trace = quick_trace(2);
     let cfg = SimConfig::physical(9);
-    let (round, events) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
-    assert_bit_parity(&round, &events);
+    let (batch, stepped) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
+    assert_golden("physical", &batch, PHYSICAL);
+    assert_bit_parity(&batch, &stepped);
 }
 
 #[test]
 fn horizon_truncation_matches() {
-    // Jobs left running at the horizon: both engines must admit the same
-    // set and leave identical partial progress.
+    // Jobs left running at the horizon: both drive modes must admit the
+    // same set and leave identical partial progress.
     let mut trace = quick_trace(3);
     for j in &mut trace.jobs {
         j.work_target *= 400.0;
@@ -144,82 +125,60 @@ fn horizon_truncation_matches() {
         max_hours: 0.5,
         ..SimConfig::default()
     };
-    let (round, events) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
-    assert!(round.unfinished > 0, "horizon must truncate the workload");
-    assert_bit_parity(&round, &events);
+    let (batch, stepped) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
+    assert!(batch.unfinished > 0, "horizon must truncate the workload");
+    assert_golden("horizon", &batch, HORIZON);
+    assert_bit_parity(&batch, &stepped);
 }
 
 #[test]
 fn same_seed_reruns_are_byte_identical() {
-    // Determinism within each engine: two runs of the identical
-    // configuration must produce byte-identical canonical trace streams
-    // (and, modulo wall-clock, identical raw streams — the canonical form
-    // only zeroes `policy_runtime_s` and normalizes order).
+    // Two runs of the identical configuration must produce byte-identical
+    // canonical trace streams (and, modulo wall-clock, identical raw
+    // streams — the canonical form only zeroes `policy_runtime_s` and
+    // normalizes order).
     let trace = quick_trace(5);
-    let cfg = SimConfig {
-        seed: 5,
-        ..SimConfig::default()
+    let run = || {
+        Simulator::new(
+            ClusterSpec::heterogeneous_64(),
+            &trace,
+            SimConfig {
+                seed: 5,
+                ..SimConfig::default()
+            },
+        )
+        .run(Box::new(SiaPolicy::default()).as_mut())
     };
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let run = || {
-            Simulator::new(
-                ClusterSpec::heterogeneous_64(),
-                &trace,
-                SimConfig {
-                    engine,
-                    ..cfg.clone()
-                },
-            )
-            .run(Box::new(SiaPolicy::default()).as_mut())
-        };
-        let (a, b) = (run(), run());
-        assert!(
-            !a.trace.records.is_empty(),
-            "{engine:?} engine recorded no trace"
-        );
-        assert_eq!(
-            a.trace.canonical_jsonl(),
-            b.trace.canonical_jsonl(),
-            "{engine:?} engine is not deterministic across same-seed runs"
-        );
-        // Raw emission order is deterministic too: the record sequence
-        // (timestamps, kinds, payloads) matches 1:1; only the wall-clock
-        // policy_runtime field may differ.
-        assert_eq!(a.trace.records.len(), b.trace.records.len());
-        for (ra, rb) in a.trace.records.iter().zip(&b.trace.records) {
-            assert_eq!(ra.t, rb.t, "raw emission timestamps diverge");
-            assert_eq!(ra.seq, rb.seq);
-            assert_eq!(ra.ev.kind(), rb.ev.kind());
-            assert_eq!(ra.ev.job(), rb.ev.job());
-        }
+    let (a, b) = (run(), run());
+    assert!(!a.trace.records.is_empty(), "run recorded no trace");
+    assert_eq!(
+        a.trace.canonical_jsonl(),
+        b.trace.canonical_jsonl(),
+        "not deterministic across same-seed runs"
+    );
+    // Raw emission order is deterministic too: the record sequence
+    // (timestamps, kinds, payloads) matches 1:1; only the wall-clock
+    // policy_runtime field may differ.
+    assert_eq!(a.trace.records.len(), b.trace.records.len());
+    for (ra, rb) in a.trace.records.iter().zip(&b.trace.records) {
+        assert_eq!(ra.t, rb.t, "raw emission timestamps diverge");
+        assert_eq!(ra.seq, rb.seq);
+        assert_eq!(ra.ev.kind(), rb.ev.kind());
+        assert_eq!(ra.ev.job(), rb.ev.job());
     }
-}
-
-/// Sia with the sharded MILP decomposition and an anytime round budget.
-fn sharded_sia(workers: usize) -> Box<dyn Scheduler> {
-    let mut cfg = SiaConfig {
-        round_budget: Some(5.0),
-        workers,
-        ..SiaConfig::default()
-    };
-    cfg.shard.enabled = true;
-    // Small shards force a real multi-shard decomposition even on the
-    // 24-job quick trace; escalation off keeps the decomposed path hot.
-    cfg.shard.max_shard_groups = 4;
-    cfg.shard.escalation_vars = 0;
-    Box::new(SiaPolicy::new(cfg))
 }
 
 #[test]
 fn sharded_engines_bit_identical() {
-    // The decomposed solve path must preserve the engine-parity guarantee.
+    // The decomposed solve path must preserve batch/stepped parity.
     let trace = quick_trace(1);
     let cfg = SimConfig {
         seed: 1,
         ..SimConfig::default()
     };
-    let (round, events) = run_both(&|| sharded_sia(1), &trace, &cfg);
-    assert_bit_parity(&round, &events);
+    let (batch, stepped) = run_both(&|| sharded_sia(1), &trace, &cfg);
+    assert_golden("sharded", &batch, SHARDED);
+    assert_bit_parity(&batch, &stepped);
 }
 
 #[test]
@@ -234,7 +193,6 @@ fn sharded_worker_counts_are_byte_identical() {
             ClusterSpec::heterogeneous_64(),
             &trace,
             SimConfig {
-                engine: EngineKind::Events,
                 seed: 6,
                 ..SimConfig::default()
             },
@@ -275,7 +233,6 @@ fn monolithic_time_budget_is_deterministic() {
             ClusterSpec::heterogeneous_64(),
             &trace,
             SimConfig {
-                engine: EngineKind::Events,
                 seed: 7,
                 ..SimConfig::default()
             },
@@ -300,75 +257,19 @@ fn monolithic_time_budget_is_deterministic() {
 
 #[test]
 fn failure_injection_stays_on_summary_parity() {
-    // With failures on the engines model different processes (per-round
-    // Poisson counts vs exact-time exponential arrivals), so only summary
-    // statistics are comparable: both must observe failures, and outcomes
-    // must remain in the same regime.
+    // Failures are exact-time events drawn from their own stream; the
+    // stepped driver must see the same failures at the same instants.
     let trace = quick_trace(4);
     let cfg = SimConfig {
         seed: 4,
         failure_rate_per_gpu_hour: 1.0,
         ..SimConfig::default()
     };
-    let (round, events) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
+    let (batch, stepped) = run_both(&|| Box::new(SiaPolicy::default()), &trace, &cfg);
     let failures = |r: &SimResult| r.records.iter().map(|j| u64::from(j.failures)).sum::<u64>();
-    assert!(failures(&round) > 0, "round engine saw no failures");
-    assert!(failures(&events) > 0, "event engine saw no failures");
-    let avg = |r: &SimResult| {
-        let jcts: Vec<f64> = r.records.iter().filter_map(|j| j.jct()).collect();
-        jcts.iter().sum::<f64>() / jcts.len().max(1) as f64
-    };
-    let (a, b) = (avg(&round), avg(&events));
-    assert!(
-        (a - b).abs() <= 0.5 * a.max(b),
-        "failure-regime JCTs diverged: round {a} vs events {b}"
-    );
-}
-
-/// A fixed capacity-dynamics script exercising every event kind inside the
-/// first simulated hour: an abrupt a100 kill, a t4 straggler window, a
-/// graceful rtx drain, and elastic re-growth.
-fn fixed_dynamics() -> sia::dynamics::DynamicsScript {
-    use sia::dynamics::CapacityEvent;
-    sia::dynamics::DynamicsScript::new()
-        .at(
-            400.0,
-            CapacityEvent::Remove {
-                gpu_type: "a100".to_string(),
-                num_nodes: 2,
-            },
-        )
-        .at(
-            700.0,
-            CapacityEvent::Degrade {
-                gpu_type: "t4".to_string(),
-                num_nodes: 2,
-                factor: 0.5,
-            },
-        )
-        .at(
-            1500.0,
-            CapacityEvent::Drain {
-                gpu_type: "rtx".to_string(),
-                num_nodes: 3,
-                grace: 300.0,
-            },
-        )
-        .at(
-            2500.0,
-            CapacityEvent::Add {
-                gpu_type: "a100".to_string(),
-                num_nodes: 2,
-                gpus_per_node: 8,
-            },
-        )
-        .at(
-            3000.0,
-            CapacityEvent::Restore {
-                gpu_type: "t4".to_string(),
-                num_nodes: 2,
-            },
-        )
+    assert!(failures(&batch) > 0, "no failure was injected");
+    assert_golden("failures", &batch, FAILURES);
+    assert_bit_parity(&batch, &stepped);
 }
 
 #[test]
@@ -379,16 +280,25 @@ fn dynamics_engines_bit_identical() {
         dynamics: Some(fixed_dynamics()),
         ..SimConfig::default()
     };
-    for make in [
-        (&|| Box::new(SiaPolicy::default()) as Box<dyn Scheduler>)
-            as &dyn Fn() -> Box<dyn Scheduler>,
-        &|| Box::new(GavelPolicy::default()),
+    for (name, make, digests) in [
+        (
+            "dynamics-sia",
+            (&|| Box::new(SiaPolicy::default()) as Box<dyn Scheduler>)
+                as &dyn Fn() -> Box<dyn Scheduler>,
+            DYNAMICS_SIA,
+        ),
+        (
+            "dynamics-gavel",
+            &|| Box::new(GavelPolicy::default()),
+            DYNAMICS_GAVEL,
+        ),
     ] {
-        let (round, events) = run_both(make, &trace, &cfg);
-        assert_bit_parity(&round, &events);
+        let (batch, stepped) = run_both(make, &trace, &cfg);
+        assert_golden(name, &batch, digests);
+        assert_bit_parity(&batch, &stepped);
         // The script must actually bite: capacity records present, and at
         // least one job lost its placement to a capacity change.
-        let canon = round.trace.canonical_jsonl();
+        let canon = batch.trace.canonical_jsonl();
         for kind in [
             "capacity_removed",
             "capacity_added",
@@ -410,27 +320,24 @@ fn dynamics_engines_bit_identical() {
 #[test]
 fn dynamics_same_seed_reruns_are_byte_identical() {
     let trace = quick_trace(6);
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let run = || {
-            Simulator::new(
-                ClusterSpec::heterogeneous_64(),
-                &trace,
-                SimConfig {
-                    engine,
-                    seed: 6,
-                    dynamics: Some(fixed_dynamics()),
-                    ..SimConfig::default()
-                },
-            )
-            .run(Box::new(SiaPolicy::default()).as_mut())
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(
-            a.trace.canonical_jsonl(),
-            b.trace.canonical_jsonl(),
-            "{engine:?} engine is not deterministic with dynamics enabled"
-        );
-    }
+    let run = || {
+        Simulator::new(
+            ClusterSpec::heterogeneous_64(),
+            &trace,
+            SimConfig {
+                seed: 6,
+                dynamics: Some(fixed_dynamics()),
+                ..SimConfig::default()
+            },
+        )
+        .run(Box::new(SiaPolicy::default()).as_mut())
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(
+        a.trace.canonical_jsonl(),
+        b.trace.canonical_jsonl(),
+        "not deterministic with dynamics enabled"
+    );
 }
 
 #[test]
@@ -439,26 +346,24 @@ fn empty_dynamics_script_matches_dynamics_none() {
     // script through the runtime must not perturb a single RNG draw,
     // version bump, or trace byte relative to running with no dynamics.
     let trace = quick_trace(7);
-    for engine in [EngineKind::Round, EngineKind::Events] {
-        let run = |dynamics: Option<sia::dynamics::DynamicsScript>| {
-            Simulator::new(
-                ClusterSpec::heterogeneous_64(),
-                &trace,
-                SimConfig {
-                    engine,
-                    seed: 7,
-                    dynamics,
-                    ..SimConfig::default()
-                },
-            )
-            .run(Box::new(SiaPolicy::default()).as_mut())
-        };
-        let without = run(None);
-        let with = run(Some(sia::dynamics::DynamicsScript::new()));
-        assert_eq!(
-            without.trace.canonical_jsonl(),
-            with.trace.canonical_jsonl(),
-            "{engine:?}: an empty dynamics script changed the simulation"
-        );
-    }
+    let run = |dynamics: Option<sia::dynamics::DynamicsScript>| {
+        Simulator::new(
+            ClusterSpec::heterogeneous_64(),
+            &trace,
+            SimConfig {
+                seed: 7,
+                dynamics,
+                ..SimConfig::default()
+            },
+        )
+        .run(Box::new(SiaPolicy::default()).as_mut())
+    };
+    let without = run(None);
+    assert_golden("no-dynamics", &without, EMPTY_SCRIPT);
+    let with = run(Some(sia::dynamics::DynamicsScript::new()));
+    assert_eq!(
+        without.trace.canonical_jsonl(),
+        with.trace.canonical_jsonl(),
+        "an empty dynamics script changed the simulation"
+    );
 }

@@ -1,5 +1,5 @@
 //! End-to-end tests for the `sia-serve` daemon and its CLI surface:
-//! replay parity with the batch engine, snapshot/kill/restore losslessness
+//! replay parity with the batch run, snapshot/kill/restore losslessness
 //! through the real binary, the `trace-to-stream` converter, and the
 //! mutually-exclusive-flag exit codes.
 
@@ -9,7 +9,7 @@ use std::process::{Command, Stdio};
 use serde_json::Value;
 use sia::cluster::ClusterSpec;
 use sia::core::SiaPolicy;
-use sia::sim::{EngineKind, SimConfig, Simulator};
+use sia::sim::{SimConfig, Simulator};
 use sia::workloads::{trace_to_stream_jsonl, StreamOptions, Trace, TraceConfig, TraceKind};
 
 fn cli() -> Command {
@@ -52,13 +52,12 @@ fn serve_with_input(args: &[&str], lines: &str) -> (std::process::ExitStatus, St
 #[test]
 fn serve_replay_reproduces_the_batch_trace() {
     let trace = small_trace(10);
-    // Ground truth: the batch round engine over the identical trace,
-    // cluster, seed and config the daemon uses.
+    // Ground truth: the batch run over the identical trace, cluster, seed
+    // and config the daemon uses.
     let batch = Simulator::new(
         ClusterSpec::heterogeneous_64(),
         &trace,
         SimConfig {
-            engine: EngineKind::Round,
             seed: 1,
             ..SimConfig::default()
         },
@@ -95,7 +94,7 @@ fn serve_replay_reproduces_the_batch_trace() {
     assert_eq!(
         batch.trace.canonical_jsonl(),
         daemon_trace,
-        "daemon flight trace must be byte-identical to the batch engine's"
+        "daemon flight trace must be byte-identical to the batch run's"
     );
     let daemon_audit = std::fs::read_to_string(&audit_out).unwrap();
     for line in daemon_audit.lines().take(1) {
@@ -227,6 +226,14 @@ fn cli_exclusive_flags_exit_two_with_one_line_messages() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(stderr.lines().count(), 1, "one-line message, got: {stderr}");
     assert!(stderr.contains("--trace-out requires an explicit --trace-format"));
+
+    // The simulation-engine selector is gone: --engine is an unknown
+    // option like any other.
+    let out = cli().args(["--engine", "round"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "one-line message, got: {stderr}");
+    assert!(stderr.contains("--engine"), "got: {stderr}");
 
     // serve refuses capacity dynamics outright.
     let out = cli()
